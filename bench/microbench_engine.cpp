@@ -17,6 +17,7 @@
 
 #include "check/invariants.hh"
 #include "cluster/cluster.hh"
+#include "cluster/router.hh"
 #include "common/random.hh"
 #include "core/any_queue.hh"
 #include "core/engine.hh"
@@ -341,6 +342,41 @@ BM_EngineEventChurn(benchmark::State &state)
 BENCHMARK(BM_EngineEventChurn)->Arg(1 << 16);
 
 void
+BM_RouterPick(benchmark::State &state)
+{
+    // One least-outstanding dispatch cycle per item on an Arg-replica
+    // fleet: pick, dispatch to the pick, settle a random in-flight
+    // request. Two requests per replica stay in flight, so loads sit
+    // close together and ties are common, as in a balanced fleet.
+    const std::size_t n = static_cast<std::size_t>(state.range(0));
+    cluster::Router router(cluster::RouterPolicy::LeastOutstanding,
+                           std::vector<double>(n, 1.0));
+    std::vector<std::size_t> inflight;
+    for (std::size_t i = 0; i < 2 * n; ++i) {
+        inflight.push_back(i % n);
+        router.onDispatch(i % n);
+    }
+    Rng rng(42);
+    std::vector<std::size_t> victims(1 << 16);
+    for (std::size_t &v : victims)
+        v = static_cast<std::size_t>(rng.below(inflight.size()));
+    const std::vector<std::size_t> none;
+    std::size_t step = 0;
+    for (auto _ : state) {
+        std::size_t r = router.pick(0, none);
+        benchmark::DoNotOptimize(r);
+        router.onDispatch(r);
+        std::size_t &slot =
+            inflight[victims[step++ & (victims.size() - 1)]];
+        router.onSettled(slot);
+        slot = r;
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RouterPick)->Arg(64)->Arg(1024)->Arg(16384);
+
+void
 BM_ClusterSpanOverhead(benchmark::State &state)
 {
     // Cost of per-request lifecycle span recording (obs::SpanLog) on
@@ -383,7 +419,7 @@ BENCHMARK(BM_ClusterSpanOverhead)
 // google-benchmark rejects flags it does not recognize, so a custom
 // main translates the repo-wide --quick convention (see the ext_*
 // drivers) into a filter + short measurement budget for CI: just the
-// event-queue and span-overhead rows, enough to catch gross
+// event-queue, router and span-overhead rows, enough to catch gross
 // regressions.
 int
 main(int argc, char **argv)
@@ -399,7 +435,7 @@ main(int argc, char **argv)
     static std::string filter =
         "--benchmark_filter=BM_EventQueueThroughput|"
         "BM_CalendarVsHeap|BM_MailboxThroughput|"
-        "BM_ShardedMerge|BM_ClusterSpanOverhead";
+        "BM_ShardedMerge|BM_RouterPick|BM_ClusterSpanOverhead";
     static std::string min_time = "--benchmark_min_time=0.05";
     if (quick) {
         args.push_back(filter.data());

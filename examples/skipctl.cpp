@@ -85,11 +85,16 @@
  * deterministic fuzz campaign and, on failure, writes a shrunken
  * minimal repro that `check --replay` re-runs. Bare `check` runs the
  * property suite.
+ *
+ * Exit status: 0 success, 1 a diagnosed error (bad input, failed
+ * check), 2 usage error, 3 an internal error the program did not
+ * diagnose (such as running out of memory).
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -980,5 +985,11 @@ main(int argc, char **argv)
     } catch (const FatalError &err) {
         std::fprintf(stderr, "skipctl: %s\n", err.what());
         return 1;
+    } catch (const std::exception &err) {
+        // Not a diagnosed input error (e.g. std::bad_alloc from an
+        // absurd rate): still exit cleanly, with its own status.
+        std::fprintf(stderr, "skipctl: internal error: %s\n",
+                     err.what());
+        return 3;
     }
 }

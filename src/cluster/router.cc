@@ -9,6 +9,11 @@
 namespace skipsim::cluster
 {
 
+namespace
+{
+constexpr double kInf = std::numeric_limits<double>::infinity();
+} // namespace
+
 const char *
 routerPolicyName(RouterPolicy policy)
 {
@@ -53,11 +58,13 @@ Router::Router(RouterPolicy policy, std::vector<double> weights)
     if (_weights.empty())
         fatal("Router: need at least one replica");
     for (double w : _weights) {
-        if (w <= 0.0)
+        if (!(w > 0.0))
             fatal("Router: replica weights must be positive");
     }
     _outstanding.assign(_weights.size(), 0);
     _down.assign(_weights.size(), false);
+    while (_leaves < _weights.size())
+        _leaves *= 2;
 }
 
 std::size_t
@@ -72,6 +79,14 @@ Router::setClasses(std::vector<unsigned> classes)
     if (!classes.empty() && classes.size() != _weights.size())
         fatal("Router: class mask count must match the replica count");
     _classes = std::move(classes);
+    _trees.clear();
+}
+
+bool
+Router::inClass(std::size_t replica, unsigned klass) const
+{
+    return klass == kAnyClass || _classes.empty() ||
+        (_classes[replica] & klass) != 0;
 }
 
 bool
@@ -79,31 +94,80 @@ Router::eligible(std::size_t replica,
                  const std::vector<std::size_t> &exclude,
                  unsigned klass) const
 {
-    if (_down[replica])
-        return false;
-    if (klass != kAnyClass && !_classes.empty() &&
-        (_classes[replica] & klass) == 0)
+    if (_down[replica] || !inClass(replica, klass))
         return false;
     return std::find(exclude.begin(), exclude.end(), replica) ==
         exclude.end();
 }
 
+double
+Router::leafLoad(const Tree &tree, std::size_t replica) const
+{
+    if (_down[replica] || !inClass(replica, tree.klass))
+        return kInf;
+    double load = static_cast<double>(_outstanding[replica]);
+    if (_policy == RouterPolicy::WeightedThroughput)
+        load /= _weights[replica];
+    return load;
+}
+
+void
+Router::setLeaf(Tree &tree, std::size_t replica, double load) const
+{
+    std::size_t i = _leaves + replica;
+    tree.nodes[i].load = load;
+    // On equal loads the left child, which holds the lower indices,
+    // wins: the lowest-index tie-break of a scan in index order.
+    for (i /= 2; i >= 1; i /= 2) {
+        const Node &left = tree.nodes[2 * i];
+        const Node &right = tree.nodes[2 * i + 1];
+        tree.nodes[i] = right.load < left.load ? right : left;
+    }
+}
+
+void
+Router::touch(std::size_t replica)
+{
+    for (Tree &tree : _trees) {
+        if (inClass(replica, tree.klass))
+            setLeaf(tree, replica, leafLoad(tree, replica));
+    }
+}
+
+Router::Tree &
+Router::treeFor(unsigned klass) const
+{
+    if (_classes.empty())
+        klass = kAnyClass;
+    for (Tree &tree : _trees) {
+        if (tree.klass == klass)
+            return tree;
+    }
+    Tree &tree = _trees.emplace_back();
+    tree.klass = klass;
+    tree.nodes.assign(2 * _leaves, Node{kInf, npos()});
+    for (std::size_t r = 0; r < _weights.size(); ++r) {
+        tree.nodes[_leaves + r].replica = r;
+        setLeaf(tree, r, leafLoad(tree, r));
+    }
+    return tree;
+}
+
 std::size_t
 Router::leastLoaded(const std::vector<std::size_t> &exclude,
-                    bool weighted, unsigned klass) const
+                    unsigned klass) const
 {
-    std::size_t best = npos();
-    double best_load = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < _weights.size(); ++r) {
-        if (!eligible(r, exclude, klass))
-            continue;
-        double load = static_cast<double>(_outstanding[r]);
-        if (weighted)
-            load /= _weights[r];
-        if (load < best_load) {
-            best_load = load;
-            best = r;
-        }
+    Tree &tree = treeFor(klass);
+    std::size_t n = _weights.size();
+    for (std::size_t r : exclude) {
+        if (r < n)
+            setLeaf(tree, r, kInf);
+    }
+    const Node &root = tree.nodes[1];
+    std::size_t best = root.load < kInf ? root.replica : npos();
+    for (std::size_t r : exclude) {
+        if (r < n)
+            setLeaf(tree, r, leafLoad(tree, r));
     }
     return best;
 }
@@ -124,14 +188,13 @@ Router::pick(int session, const std::vector<std::size_t> &exclude,
         }
         return npos();
     case RouterPolicy::LeastOutstanding:
-        return leastLoaded(exclude, false, klass);
     case RouterPolicy::WeightedThroughput:
-        return leastLoaded(exclude, true, klass);
+        return leastLoaded(exclude, klass);
     case RouterPolicy::SessionAffinity: {
         std::size_t home = static_cast<std::size_t>(session) % n;
         if (eligible(home, exclude, klass))
             return home;
-        return leastLoaded(exclude, false, klass);
+        return leastLoaded(exclude, klass);
     }
     }
     return npos();
@@ -141,6 +204,7 @@ void
 Router::onDispatch(std::size_t replica)
 {
     ++_outstanding.at(replica);
+    touch(replica);
 }
 
 void
@@ -150,18 +214,21 @@ Router::onSettled(std::size_t replica)
     if (count == 0)
         fatal("Router: settled more requests than were dispatched");
     --count;
+    touch(replica);
 }
 
 void
 Router::markDown(std::size_t replica)
 {
     _down.at(replica) = true;
+    touch(replica);
 }
 
 void
 Router::markUp(std::size_t replica)
 {
     _down.at(replica) = false;
+    touch(replica);
 }
 
 } // namespace skipsim::cluster

@@ -55,6 +55,14 @@ std::vector<std::string> routerPolicyNames();
  * and (delayed) fault detections; pick() is a pure function of that
  * view plus the round-robin cursor, so routing is deterministic for a
  * given arrival sequence regardless of host thread count.
+ *
+ * The least-loaded policies keep a min-(load, index) segment tree per
+ * dispatch class in use, built at that class's first least-loaded
+ * pick. Feedback updates one leaf in O(log N) and a pick reads the
+ * root, so a pick costs O(1 + |exclude| log N) instead of a scan of
+ * the fleet. Round robin keeps no tree. pick() masks excluded leaves
+ * and restores them, so like the round-robin cursor it mutates the
+ * router: concurrent calls on one Router must be serialized.
  */
 class Router
 {
@@ -112,11 +120,31 @@ class Router
     }
 
   private:
+    /** Tree node: the (load, index) minimum of its subtree. */
+    struct Node
+    {
+        double load = 0.0;
+        std::size_t replica = 0;
+    };
+
+    /** Least-loaded index for one dispatch class. */
+    struct Tree
+    {
+        unsigned klass = kAnyClass;
+        std::vector<Node> nodes; ///< 1-based heap layout, 2 * _leaves
+    };
+
     bool eligible(std::size_t replica,
                   const std::vector<std::size_t> &exclude,
                   unsigned klass) const;
+    bool inClass(std::size_t replica, unsigned klass) const;
+    double leafLoad(const Tree &tree, std::size_t replica) const;
+    void setLeaf(Tree &tree, std::size_t replica, double load) const;
+    /** Recompute @p replica's leaf in every tree that contains it. */
+    void touch(std::size_t replica);
+    Tree &treeFor(unsigned klass) const;
     std::size_t leastLoaded(const std::vector<std::size_t> &exclude,
-                            bool weighted, unsigned klass) const;
+                            unsigned klass) const;
 
     RouterPolicy _policy;
     std::vector<double> _weights;
@@ -124,6 +152,8 @@ class Router
     std::vector<std::size_t> _outstanding;
     std::vector<bool> _down;
     mutable std::size_t _rrCursor = 0;
+    std::size_t _leaves = 1; ///< tree width: fleet size rounded up to 2^k
+    mutable std::vector<Tree> _trees;
 };
 
 } // namespace skipsim::cluster

@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "cluster/cluster.hh"
 #include "cluster/router.hh"
 #include "common/logging.hh"
@@ -124,6 +128,214 @@ TEST(Router, NoEligibleReplicaReturnsNpos)
     EXPECT_THROW(cluster::Router(cluster::RouterPolicy::RoundRobin,
                                  {1.0, 0.0}),
                  FatalError);
+    EXPECT_THROW(cluster::Router(cluster::RouterPolicy::LeastOutstanding,
+                                 {1.0, std::nan("")}),
+                 FatalError);
+}
+
+namespace
+{
+
+/**
+ * Reference router: the linear scan the indexed router replaced.
+ * Same feedback, same policies, O(replicas) per least-loaded pick.
+ */
+struct ScanRouter
+{
+    cluster::RouterPolicy policy;
+    std::vector<double> weights;
+    std::vector<unsigned> classes;
+    std::vector<std::size_t> outstanding;
+    std::vector<bool> down;
+    std::size_t rrCursor = 0;
+
+    ScanRouter(cluster::RouterPolicy p, std::vector<double> w)
+        : policy(p), weights(std::move(w)),
+          outstanding(weights.size(), 0), down(weights.size(), false)
+    {
+    }
+
+    bool eligible(std::size_t r, const std::vector<std::size_t> &exclude,
+                  unsigned klass) const
+    {
+        if (down[r])
+            return false;
+        if (klass != cluster::kAnyClass && !classes.empty() &&
+            (classes[r] & klass) == 0)
+            return false;
+        return std::find(exclude.begin(), exclude.end(), r) ==
+            exclude.end();
+    }
+
+    std::size_t leastLoaded(const std::vector<std::size_t> &exclude,
+                            bool weighted, unsigned klass) const
+    {
+        std::size_t best = cluster::Router::npos();
+        double best_load = std::numeric_limits<double>::infinity();
+        for (std::size_t r = 0; r < weights.size(); ++r) {
+            if (!eligible(r, exclude, klass))
+                continue;
+            double load = static_cast<double>(outstanding[r]);
+            if (weighted)
+                load /= weights[r];
+            if (load < best_load) {
+                best_load = load;
+                best = r;
+            }
+        }
+        return best;
+    }
+
+    std::size_t pick(int session, const std::vector<std::size_t> &exclude,
+                     unsigned klass)
+    {
+        std::size_t n = weights.size();
+        switch (policy) {
+        case cluster::RouterPolicy::RoundRobin:
+            for (std::size_t step = 0; step < n; ++step) {
+                std::size_t r = (rrCursor + step) % n;
+                if (eligible(r, exclude, klass)) {
+                    rrCursor = (r + 1) % n;
+                    return r;
+                }
+            }
+            return cluster::Router::npos();
+        case cluster::RouterPolicy::LeastOutstanding:
+            return leastLoaded(exclude, false, klass);
+        case cluster::RouterPolicy::WeightedThroughput:
+            return leastLoaded(exclude, true, klass);
+        case cluster::RouterPolicy::SessionAffinity: {
+            std::size_t home = static_cast<std::size_t>(session) % n;
+            if (eligible(home, exclude, klass))
+                return home;
+            return leastLoaded(exclude, false, klass);
+        }
+        }
+        return cluster::Router::npos();
+    }
+};
+
+/** Random per-replica class masks: prefill, decode or mixed. */
+std::vector<unsigned>
+randomClasses(Rng &rng, std::size_t n)
+{
+    const unsigned masks[] = {cluster::kPrefillClass, cluster::kDecodeClass,
+                              cluster::kPrefillClass |
+                                  cluster::kDecodeClass};
+    std::vector<unsigned> classes(n);
+    for (unsigned &c : classes)
+        c = masks[rng.below(3)];
+    return classes;
+}
+
+/**
+ * Drive the router and the scan oracle through the same random
+ * feedback/pick sequence and require every pick to agree.
+ */
+void
+checkAgainstScan(cluster::RouterPolicy policy, std::size_t n,
+                 bool disagg, std::uint64_t seed, int steps)
+{
+    Rng rng(seed);
+    // Weights spread over ~8 decades; integral weights on some fleets
+    // so weighted loads tie exactly.
+    bool integral = rng.below(2) == 0;
+    std::vector<double> weights(n);
+    for (double &w : weights)
+        w = integral ? static_cast<double>(1 + rng.below(4))
+                     : std::exp(rng.uniform(-9.0, 9.0));
+    cluster::Router router(policy, weights);
+    ScanRouter oracle(policy, weights);
+    if (disagg) {
+        oracle.classes = randomClasses(rng, n);
+        router.setClasses(oracle.classes);
+    }
+    const unsigned klasses[] = {cluster::kAnyClass, cluster::kPrefillClass,
+                                cluster::kDecodeClass,
+                                cluster::kPrefillClass |
+                                    cluster::kDecodeClass};
+    std::vector<std::size_t> exclude;
+    for (int step = 0; step < steps; ++step) {
+        if (disagg && step == steps / 2) {
+            oracle.classes = randomClasses(rng, n);
+            router.setClasses(oracle.classes);
+        }
+        std::size_t r = static_cast<std::size_t>(rng.below(n));
+        std::uint64_t op = rng.below(100);
+        if (op < 30) {
+            router.onDispatch(r);
+            ++oracle.outstanding[r];
+        } else if (op < 55) {
+            if (oracle.outstanding[r] > 0) {
+                router.onSettled(r);
+                --oracle.outstanding[r];
+            }
+        } else if (op < 60) {
+            router.markDown(r);
+            oracle.down[r] = true;
+        } else if (op < 68) {
+            router.markUp(r);
+            oracle.down[r] = false;
+        } else {
+            exclude.clear();
+            std::uint64_t shape = rng.below(200);
+            if (shape == 0) {
+                for (std::size_t e = 0; e < n; ++e)
+                    exclude.push_back(e);
+            } else if (shape < 100) {
+                std::uint64_t k = rng.below(6);
+                for (std::uint64_t e = 0; e < k; ++e) {
+                    std::size_t victim = static_cast<std::size_t>(
+                        rng.below(n));
+                    // Duplicates on purpose: a replica listed twice.
+                    if (!exclude.empty() && rng.below(2) == 0)
+                        victim = exclude[rng.below(exclude.size())];
+                    exclude.push_back(victim);
+                }
+            }
+            unsigned klass =
+                disagg ? klasses[rng.below(4)] : cluster::kAnyClass;
+            int session = static_cast<int>(rng.below(4 * n));
+            std::size_t want = oracle.pick(session, exclude, klass);
+            std::size_t got = router.pick(session, exclude, klass);
+            ASSERT_EQ(got, want)
+                << cluster::routerPolicyName(policy) << " n=" << n
+                << " disagg=" << disagg << " seed=" << seed
+                << " step=" << step << " klass=" << klass
+                << " exclude=" << exclude.size();
+            // Route the request like the simulator does, so loads
+            // stay close together and ties are common.
+            if (got != cluster::Router::npos() && rng.below(2) == 0) {
+                router.onDispatch(got);
+                ++oracle.outstanding[got];
+            }
+        }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(router.outstanding(i), oracle.outstanding[i]);
+        ASSERT_EQ(router.isDown(i), static_cast<bool>(oracle.down[i]));
+    }
+}
+
+} // namespace
+
+TEST(Router, IndexedPickMatchesLinearScanOracle)
+{
+    const cluster::RouterPolicy policies[] = {
+        cluster::RouterPolicy::RoundRobin,
+        cluster::RouterPolicy::LeastOutstanding,
+        cluster::RouterPolicy::WeightedThroughput,
+        cluster::RouterPolicy::SessionAffinity,
+    };
+    for (cluster::RouterPolicy policy : policies)
+        for (std::size_t n : {1u, 3u, 1000u, 1024u, 1025u})
+            for (bool disagg : {false, true})
+                for (std::uint64_t seed : {1u, 2u, 3u}) {
+                    checkAgainstScan(policy, n, disagg,
+                                     seed * 7919 + n, 10000);
+                    if (HasFatalFailure())
+                        return;
+                }
 }
 
 TEST(Router, PolicyNamesRoundTrip)
