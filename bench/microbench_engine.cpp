@@ -120,6 +120,23 @@ BM_ComputeMetrics(benchmark::State &state)
 BENCHMARK(BM_ComputeMetrics);
 
 void
+BM_ProximityAnalyzerBuild(benchmark::State &state)
+{
+    // Interning plus the suffix and LCP arrays: the per-sequence cost
+    // that BM_ChainMining, which times analyze() on a built analyzer,
+    // leaves out.
+    auto sequence = gpt2Graph(1).kernelSequence();
+    for (auto _ : state) {
+        fusion::ProximityAnalyzer analyzer(sequence);
+        benchmark::DoNotOptimize(analyzer.sequenceLength());
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(sequence.size()));
+}
+BENCHMARK(BM_ProximityAnalyzerBuild);
+
+void
 BM_ChainMining(benchmark::State &state)
 {
     auto graph = gpt2Graph(1);
@@ -418,9 +435,11 @@ BENCHMARK(BM_ClusterSpanOverhead)
 
 // google-benchmark rejects flags it does not recognize, so a custom
 // main translates the repo-wide --quick convention (see the ext_*
-// drivers) into a filter + short measurement budget for CI: just the
-// event-queue, router and span-overhead rows, enough to catch gross
-// regressions.
+// drivers) into a filter + short measurement budget for CI: the
+// event-queue, router and span-overhead rows plus the SKIP analysis
+// rows (dependency graph, metrics, analyzer build, chain mining),
+// enough to catch gross regressions such as a return to linear id
+// lookups or per-window allocation.
 int
 main(int argc, char **argv)
 {
@@ -435,7 +454,9 @@ main(int argc, char **argv)
     static std::string filter =
         "--benchmark_filter=BM_EventQueueThroughput|"
         "BM_CalendarVsHeap|BM_MailboxThroughput|"
-        "BM_ShardedMerge|BM_RouterPick|BM_ClusterSpanOverhead";
+        "BM_ShardedMerge|BM_RouterPick|BM_ClusterSpanOverhead|"
+        "BM_DependencyGraphBuild|BM_ComputeMetrics|"
+        "BM_ProximityAnalyzerBuild|BM_ChainMining";
     static std::string min_time = "--benchmark_min_time=0.05";
     if (quick) {
         args.push_back(filter.data());

@@ -1,7 +1,5 @@
 #include "fusion/apply.hh"
 
-#include <set>
-
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "workload/builder.hh"
@@ -42,11 +40,10 @@ applyFusion(const workload::OperatorGraph &graph,
     AppliedFusion result;
     result.launchesBefore = sequence.size();
 
-    // Deterministic (PS = 1) windows of the requested length.
-    ProximityAnalyzer analyzer(sequence);
-    std::set<std::vector<std::string>> deterministic;
-    for (const auto &cand : analyzer.candidates(chain_length, 1.0))
-        deterministic.insert(cand.kernels);
+    // Start positions of deterministic (PS = 1) windows of the
+    // requested length.
+    std::vector<bool> deterministic =
+        ProximityAnalyzer(sequence).deterministicStarts(chain_length);
 
     // Greedy non-overlapping occurrence selection (Eq. 7 accounting),
     // restricted to runs whose steps are contiguous in the timeline
@@ -55,13 +52,10 @@ applyFusion(const workload::OperatorGraph &graph,
     std::vector<bool> fused_member(sequence.size(), false);
     std::size_t i = 0;
     while (i + chain_length <= sequence.size()) {
-        std::vector<std::string> window(
-            sequence.begin() + static_cast<long>(i),
-            sequence.begin() + static_cast<long>(i + chain_length));
         bool contiguous =
             step_of_kernel[i + chain_length - 1] - step_of_kernel[i] ==
             chain_length - 1;
-        if (contiguous && deterministic.count(window)) {
+        if (contiguous && deterministic[i]) {
             fused_start[i] = true;
             for (std::size_t j = i; j < i + chain_length; ++j)
                 fused_member[j] = true;

@@ -71,7 +71,14 @@ struct ChainCandidate
 
 /**
  * Mines kernel chains of a single execution sequence.
- * Kernel names are interned internally; mining is O(N * L) per length.
+ *
+ * Kernel names are interned by their rank in sorted name order, so
+ * comparing interned windows compares the name vectors. The
+ * constructor builds a suffix array and LCP array of the interned
+ * sequence once, in O(N log N). Equal length-L windows are then the
+ * maximal suffix-array runs whose LCP is >= L, so analyze() and
+ * deterministicStarts() cost O(N) per length, and candidates() adds
+ * only the cost of the chains it returns.
  */
 class ProximityAnalyzer
 {
@@ -113,17 +120,32 @@ class ProximityAnalyzer
     std::vector<ChainCandidate> candidates(std::size_t length,
                                            double threshold) const;
 
+    /**
+     * Per start position i (sequenceLength() entries): whether the
+     * length-L window starting at i is a deterministic (PS = 1) chain.
+     * Positions with i + L > N are false.
+     */
+    std::vector<bool> deterministicStarts(std::size_t length) const;
+
   private:
     std::vector<int> _seq;                 ///< interned sequence
-    std::vector<std::string> _names;       ///< intern table
+    std::vector<std::string> _names;       ///< intern table, sorted
     std::map<std::string, int> _ids;
     std::vector<std::size_t> _kernelFreq;  ///< per interned id
+    std::vector<std::size_t> _sa;          ///< suffix array of _seq
+    std::vector<std::size_t> _lcp;         ///< LCP of _sa[k-1], _sa[k]
 
     int internedId(const std::string &name) const;
 
-    /** Frequency map over all length-L windows (interned windows). */
-    std::map<std::vector<int>, std::size_t>
-    windowCounts(std::size_t length) const;
+    /**
+     * Call fn(begin, end) for every distinct length-L window, where
+     * _sa[begin, end) are the start positions of its occurrences.
+     */
+    template <typename Fn>
+    void forEachWindow(std::size_t length, Fn &&fn) const;
+
+    /** Whether the window occurring at _sa[begin, end) has PS = 1. */
+    bool deterministic(std::size_t begin, std::size_t end) const;
 };
 
 /** Default chain-length sweep used by the paper's Figs. 7-9. */

@@ -55,14 +55,14 @@ FusionReport::render() const
 }
 
 FusionReport
-recommend(const std::vector<std::string> &sequence,
+recommend(std::vector<std::string> sequence,
           const std::vector<std::size_t> &lengths, double threshold,
           std::size_t max_candidates)
 {
     if (lengths.empty())
         fatal("recommend: no chain lengths given");
 
-    ProximityAnalyzer analyzer(sequence);
+    ProximityAnalyzer analyzer(std::move(sequence));
     FusionReport report;
     report.kEager = analyzer.sequenceLength();
 

@@ -43,7 +43,7 @@ struct FusionReport
  *        for actually-fusable chains).
  * @param max_candidates cap on reported chains.
  */
-FusionReport recommend(const std::vector<std::string> &sequence,
+FusionReport recommend(std::vector<std::string> sequence,
                        const std::vector<std::size_t> &lengths =
                            defaultChainLengths(),
                        double threshold = 1.0,

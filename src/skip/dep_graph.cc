@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <unordered_map>
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
@@ -57,7 +58,10 @@ DependencyGraph::build(trace::Trace trace)
     }
 
     // --- Kernel linkage via correlation ids -----------------------
-    std::map<std::uint64_t, const trace::TraceEvent *> launches;
+    // Events are in (begin, id) order, so the links come out in
+    // stream (execution) order with no further sort.
+    std::unordered_map<std::uint64_t, const trace::TraceEvent *> launches;
+    launches.reserve(events.size());
     for (const auto &ev : events) {
         if (ev.kind == trace::EventKind::Runtime && ev.correlationId != 0)
             launches[ev.correlationId] = &ev;
@@ -85,13 +89,6 @@ DependencyGraph::build(trace::Trace trace)
         }
         g._kernels.push_back(link);
     }
-
-    // Stream (execution) order.
-    std::stable_sort(g._kernels.begin(), g._kernels.end(),
-                     [&](const KernelLink &a, const KernelLink &b) {
-                         return g._trace.byId(a.kernelId).tsBeginNs <
-                             g._trace.byId(b.kernelId).tsBeginNs;
-                     });
     return g;
 }
 

@@ -35,6 +35,7 @@ std::uint64_t
 Trace::add(TraceEvent event)
 {
     event.id = _events.size();
+    _posOfId.push_back(_events.size());
     _events.push_back(std::move(event));
     return _events.back().id;
 }
@@ -54,12 +55,19 @@ Trace::addInstant(InstantEvent instant)
 void
 Trace::sortByTime()
 {
-    std::stable_sort(_events.begin(), _events.end(),
-                     [](const TraceEvent &a, const TraceEvent &b) {
-                         if (a.tsBeginNs != b.tsBeginNs)
-                             return a.tsBeginNs < b.tsBeginNs;
-                         return a.id < b.id;
-                     });
+    auto before = [](const TraceEvent &a, const TraceEvent &b) {
+        if (a.tsBeginNs != b.tsBeginNs)
+            return a.tsBeginNs < b.tsBeginNs;
+        return a.id < b.id;
+    };
+    // Traces are often sorted already (the simulator sorts its
+    // output); one check is cheaper than a stable sort's moves of
+    // whole events, and leaves the id index valid.
+    if (!std::is_sorted(_events.begin(), _events.end(), before)) {
+        std::stable_sort(_events.begin(), _events.end(), before);
+        for (std::size_t pos = 0; pos < _events.size(); ++pos)
+            _posOfId[_events[pos].id] = pos;
+    }
     std::stable_sort(_counters.begin(), _counters.end(),
                      [](const CounterEvent &a, const CounterEvent &b) {
                          return a.tsNs < b.tsNs;
@@ -73,13 +81,8 @@ Trace::sortByTime()
 const TraceEvent &
 Trace::byId(std::uint64_t id) const
 {
-    // Events may be reordered by sortByTime(); search for the id.
-    if (id < _events.size() && _events[id].id == id)
-        return _events[id];
-    for (const auto &ev : _events) {
-        if (ev.id == id)
-            return ev;
-    }
+    if (id < _posOfId.size())
+        return _events[_posOfId[id]];
     fatal(strprintf("Trace: no event with id %llu",
                     static_cast<unsigned long long>(id)));
 }

@@ -74,7 +74,11 @@ class Trace
 
     const std::vector<TraceEvent> &events() const { return _events; }
 
-    /** Event lookup by dense id. @throws skipsim::FatalError when absent. */
+    /**
+     * Event lookup by dense id, O(1) through an id -> position index
+     * that add() extends and sortByTime() rebuilds.
+     * @throws skipsim::FatalError when absent.
+     */
     const TraceEvent &byId(std::uint64_t id) const;
 
     /** Copies of all events of one kind, in current order. */
@@ -99,6 +103,7 @@ class Trace
 
   private:
     std::vector<TraceEvent> _events;
+    std::vector<std::size_t> _posOfId; ///< id -> index into _events
     std::vector<CounterEvent> _counters;
     std::vector<InstantEvent> _instants;
     std::vector<std::pair<std::string, std::string>> _meta;

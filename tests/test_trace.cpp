@@ -101,6 +101,73 @@ TEST(Trace, ByIdUnknownThrows)
     EXPECT_THROW(trace.byId(3), FatalError);
 }
 
+TEST(Trace, ByIdResolvesEveryEventOfAReversedTrace)
+{
+    // Inserted latest-first, so sortByTime() reverses the vector and
+    // no id sits at its own position (except possibly the middle).
+    Trace trace;
+    constexpr int kEvents = 1000;
+    for (int i = 0; i < kEvents; ++i) {
+        trace.add(makeEvent(EventKind::Operator, "op" + std::to_string(i),
+                            kEvents - i, 1));
+    }
+    trace.sortByTime();
+    EXPECT_EQ(trace.events().front().name, "op999");
+    for (std::uint64_t id = 0; id < kEvents; ++id) {
+        const TraceEvent &ev = trace.byId(id);
+        EXPECT_EQ(ev.id, id);
+        EXPECT_EQ(ev.name, "op" + std::to_string(id));
+    }
+}
+
+TEST(Trace, ByIdAfterAddFollowingASort)
+{
+    Trace trace;
+    trace.add(makeEvent(EventKind::Operator, "b", 20, 1));
+    trace.add(makeEvent(EventKind::Operator, "a", 10, 1));
+    trace.sortByTime();
+    std::uint64_t late = trace.add(makeEvent(EventKind::Operator, "c",
+                                             5, 1));
+    EXPECT_EQ(late, 2u);
+    EXPECT_EQ(trace.byId(0).name, "b");
+    EXPECT_EQ(trace.byId(1).name, "a");
+    EXPECT_EQ(trace.byId(late).name, "c");
+    trace.sortByTime();
+    EXPECT_EQ(trace.events().front().name, "c");
+    EXPECT_EQ(trace.byId(0).name, "b");
+    EXPECT_EQ(trace.byId(1).name, "a");
+    EXPECT_EQ(trace.byId(2).name, "c");
+}
+
+TEST(Trace, ByIdOnACopiedSortedTrace)
+{
+    Trace original;
+    for (int i = 0; i < 10; ++i) {
+        original.add(makeEvent(EventKind::Operator,
+                               "op" + std::to_string(i), 100 - i, 1));
+    }
+    original.sortByTime();
+    Trace copy = original;
+    copy.add(makeEvent(EventKind::Operator, "extra", 0, 1));
+    copy.sortByTime();
+    for (std::uint64_t id = 0; id < 10; ++id) {
+        EXPECT_EQ(copy.byId(id).name, "op" + std::to_string(id));
+        EXPECT_EQ(original.byId(id).name, "op" + std::to_string(id));
+    }
+    EXPECT_EQ(copy.byId(10).name, "extra");
+    EXPECT_THROW(original.byId(10), FatalError);
+}
+
+TEST(Trace, ByIdUnknownThrowsAfterSorting)
+{
+    Trace trace;
+    trace.add(makeEvent(EventKind::Operator, "x", 2, 1));
+    trace.add(makeEvent(EventKind::Operator, "y", 1, 1));
+    trace.sortByTime();
+    EXPECT_THROW(trace.byId(2), FatalError);
+    EXPECT_THROW(trace.byId(~std::uint64_t{0}), FatalError);
+}
+
 TEST(Trace, KindFilters)
 {
     Trace trace;
