@@ -26,7 +26,9 @@
 #include "core/sharded_engine.hh"
 #include "fusion/proximity.hh"
 #include "hw/catalog.hh"
+#include "json/value.hh"
 #include "obs/span.hh"
+#include "scenario/registry.hh"
 #include "sim/simulator.hh"
 #include "skip/dep_graph.hh"
 #include "skip/metrics.hh"
@@ -431,15 +433,42 @@ BENCHMARK(BM_ClusterSpanOverhead)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
+void
+BM_SpanExport(benchmark::State &state)
+{
+    // Chrome export of a recorded kv_offload span log (what `skipctl
+    // run --span-out` pays after the simulation). The export streams
+    // each span straight into one string; building a JSON document
+    // per span first cost ~30x more here.
+    json::Object params;
+    params.set("seed", 1);
+    cluster::ClusterSpec spec =
+        scenario::buildScenario("kv_offload", params);
+    obs::SpanLog spans;
+    cluster::simulateCluster(spec, nullptr, &spans);
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        std::string text = spans.toChromeText();
+        bytes = text.size();
+        benchmark::DoNotOptimize(text.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(
+        state.iterations() * bytes));
+    state.counters["spans"] = static_cast<double>(spans.spans().size());
+}
+BENCHMARK(BM_SpanExport)->Unit(benchmark::kMillisecond);
+
 } // namespace
 
 // google-benchmark rejects flags it does not recognize, so a custom
 // main translates the repo-wide --quick convention (see the ext_*
 // drivers) into a filter + short measurement budget for CI: the
-// event-queue, router and span-overhead rows plus the SKIP analysis
-// rows (dependency graph, metrics, analyzer build, chain mining),
-// enough to catch gross regressions such as a return to linear id
-// lookups or per-window allocation.
+// event-queue, router, span-overhead and span-export rows plus the
+// SKIP analysis rows (dependency graph, metrics, analyzer build, chain
+// mining), enough to catch gross regressions such as a return to
+// linear id lookups, per-window allocation or a per-span JSON
+// document in the span export.
 int
 main(int argc, char **argv)
 {
@@ -455,6 +484,7 @@ main(int argc, char **argv)
         "--benchmark_filter=BM_EventQueueThroughput|"
         "BM_CalendarVsHeap|BM_MailboxThroughput|"
         "BM_ShardedMerge|BM_RouterPick|BM_ClusterSpanOverhead|"
+        "BM_SpanExport|"
         "BM_DependencyGraphBuild|BM_ComputeMetrics|"
         "BM_ProximityAnalyzerBuild|BM_ChainMining";
     static std::string min_time = "--benchmark_min_time=0.05";

@@ -1,21 +1,18 @@
 #include "json/writer.hh"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 
 #include "common/logging.hh"
-#include "common/strutil.hh"
 
 namespace skipsim::json
 {
 
-namespace
-{
-
 void
-appendEscaped(std::string &out, const std::string &s)
+appendString(std::string &out, const std::string &s)
 {
+    static constexpr char kHex[] = "0123456789abcdef";
     out.push_back('"');
     for (char c : s) {
         switch (c) {
@@ -27,10 +24,13 @@ appendEscaped(std::string &out, const std::string &s)
           case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
           default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strprintf("\\u%04x", c);
-            else
+            if (static_cast<unsigned char>(c) < 0x20) {
+                out += "\\u00";
+                out.push_back(kHex[c >> 4]);
+                out.push_back(kHex[c & 0xf]);
+            } else {
                 out.push_back(c);
+            }
         }
     }
     out.push_back('"');
@@ -44,13 +44,24 @@ appendNumber(std::string &out, double d)
         out += "null";
         return;
     }
+    // Longest form: "-2.2250738585072014e-308" (24 bytes).
+    char buf[32];
+    std::to_chars_result res;
     double rounded = std::nearbyint(d);
     if (d == rounded && std::abs(d) < 9.007199254740992e15) {
-        out += strprintf("%lld", static_cast<long long>(rounded));
+        res = std::to_chars(buf, buf + sizeof(buf),
+                            static_cast<long long>(rounded));
     } else {
-        out += strprintf("%.17g", d);
+        // Specified to print as printf("%.17g") does: scientific
+        // only for exponents < -4 or >= 17, trailing zeros stripped.
+        res = std::to_chars(buf, buf + sizeof(buf), d,
+                            std::chars_format::general, 17);
     }
+    out.append(buf, res.ptr);
 }
+
+namespace
+{
 
 void
 writeValue(std::string &out, const Value &v, int indent, int depth)
@@ -73,7 +84,7 @@ writeValue(std::string &out, const Value &v, int indent, int depth)
         appendNumber(out, v.asDouble());
         break;
       case Kind::String:
-        appendEscaped(out, v.asString());
+        appendString(out, v.asString());
         break;
       case Kind::Array: {
         const auto &arr = v.asArray();
@@ -105,7 +116,7 @@ writeValue(std::string &out, const Value &v, int indent, int depth)
                 out.push_back(',');
             first = false;
             newline(depth + 1);
-            appendEscaped(out, key);
+            appendString(out, key);
             out.push_back(':');
             if (indent >= 0)
                 out.push_back(' ');
@@ -139,10 +150,16 @@ writePretty(const Value &value)
 void
 writeFile(const std::string &path, const Value &value, bool pretty)
 {
+    writeTextFile(path, pretty ? writePretty(value) : write(value));
+}
+
+void
+writeTextFile(const std::string &path, const std::string &text)
+{
     std::ofstream out(path, std::ios::binary);
     if (!out)
         fatal("json: cannot open file '" + path + "' for writing");
-    out << (pretty ? writePretty(value) : write(value));
+    out << text;
     if (!out)
         fatal("json: write to '" + path + "' failed");
 }

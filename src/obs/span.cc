@@ -170,7 +170,7 @@ SpanLog::onDecodeIter(std::size_t id, double beginNs, double endNs,
     iter.beginNs = roundNs(beginNs);
     iter.durNs = roundNs(endNs) - iter.beginNs;
     iter.replica = j.replica;
-    iter.detail = strprintf("b=%d", batch);
+    iter.detail = "b=" + std::to_string(batch);
     j.pendingKids.push_back(std::move(iter));
 }
 
@@ -217,18 +217,18 @@ SpanLog::onComplete(std::size_t id, double tNs)
     // function of the spec — never of host threading.
     std::int64_t base = _nextId;
     for (std::size_t i = 0; i < j.recs.size(); ++i) {
-        const Rec &rec = j.recs[i];
+        Rec &rec = j.recs[i];
         Span span;
         span.id = base + static_cast<std::int64_t>(i);
         span.parent = rec.parentLocal < 0
             ? -1
             : base + static_cast<std::int64_t>(rec.parentLocal);
         span.request = static_cast<std::int64_t>(id);
-        span.stage = rec.stage;
+        span.stage = std::move(rec.stage);
         span.beginNs = rec.beginNs;
         span.durNs = rec.durNs;
         span.replica = rec.replica;
-        span.detail = rec.detail;
+        span.detail = std::move(rec.detail);
         _sealed.push_back(std::move(span));
     }
     _nextId += static_cast<std::int64_t>(j.recs.size());
@@ -242,88 +242,90 @@ SpanLog::setMeta(const std::string &key, const std::string &value)
     _meta[key] = value;
 }
 
-json::Value
-SpanLog::toChromeJson() const
-{
-    json::Object root;
-    json::Object meta;
-    meta.set("kind", "spans");
-    for (const auto &[key, value] : _meta)
-        meta.set(key, value);
-    root.set("skipsimMeta", json::Value(std::move(meta)));
-
-    json::Value::Array events;
-    events.reserve(_sealed.size() + 2 * _sealedRequests);
-    for (const Span &span : _sealed) {
-        const bool is_root = span.parent < 0;
-        if (is_root) {
-            // Async "b" flow event: one Perfetto row per request id.
-            json::Object flow;
-            flow.set("ph", "b");
-            flow.set("cat", "request");
-            flow.set("id",
-                     static_cast<unsigned long long>(span.request));
-            flow.set("name", "request");
-            flow.set("pid", 0);
-            flow.set("tid", 0);
-            flow.set("ts", static_cast<double>(span.beginNs) / 1000.0);
-            flow.set("ts_ns", static_cast<long long>(span.beginNs));
-            events.push_back(json::Value(std::move(flow)));
-        }
-        json::Object obj;
-        obj.set("ph", "X");
-        obj.set("name", span.stage);
-        // "cpu_op" keeps the export parseable by trace::readChromeFile
-        // (and therefore skipctl validate), which skips unmodeled
-        // categories.
-        obj.set("cat", "cpu_op");
-        obj.set("pid", 0);
-        const int tid = span.replica < 0 ? 0 : span.replica + 1;
-        obj.set("tid", tid);
-        obj.set("ts", static_cast<double>(span.beginNs) / 1000.0);
-        obj.set("dur", static_cast<double>(span.durNs) / 1000.0);
-        json::Object args;
-        args.set("ts_ns", static_cast<long long>(span.beginNs));
-        args.set("dur_ns", static_cast<long long>(span.durNs));
-        args.set("thread", tid);
-        args.set("span_id", static_cast<long long>(span.id));
-        args.set("parent", static_cast<long long>(span.parent));
-        args.set("request", static_cast<long long>(span.request));
-        args.set("replica", span.replica);
-        if (!span.detail.empty())
-            args.set("detail", span.detail);
-        obj.set("args", json::Value(std::move(args)));
-        events.push_back(json::Value(std::move(obj)));
-        if (is_root) {
-            json::Object flow;
-            flow.set("ph", "e");
-            flow.set("cat", "request");
-            flow.set("id",
-                     static_cast<unsigned long long>(span.request));
-            flow.set("name", "request");
-            flow.set("pid", 0);
-            flow.set("tid", 0);
-            const std::int64_t end = span.beginNs + span.durNs;
-            flow.set("ts", static_cast<double>(end) / 1000.0);
-            flow.set("ts_ns", static_cast<long long>(end));
-            events.push_back(json::Value(std::move(flow)));
-        }
-    }
-    root.set("traceEvents", json::Value(std::move(events)));
-    root.set("displayTimeUnit", "ns");
-    return json::Value(std::move(root));
-}
-
 std::string
 SpanLog::toChromeText() const
 {
-    return json::write(toChromeJson());
+    // Written straight into one string, with no document model: the
+    // keys, their order and each number's form are what json::write()
+    // prints for the equivalent json::Value document. Every number
+    // goes through appendNumber(double), so ns values past 2^53 round
+    // exactly as a Value would hold them.
+    std::string out;
+    std::size_t text_bytes = 0;
+    for (const Span &span : _sealed)
+        text_bytes += span.stage.size() + span.detail.size();
+    // Keys and numbers take ~200 bytes per "X" event and ~130 per flow
+    // event; over-reserving a little keeps this to one allocation.
+    out.reserve(128 + text_bytes + 240 * _sealed.size() +
+                2 * 150 * _sealedRequests);
+
+    // "kind" leads the meta object; a "kind" entry overrides its value.
+    out += "{\"skipsimMeta\":{\"kind\":";
+    auto kind = _meta.find("kind");
+    json::appendString(out, kind == _meta.end() ? "spans" : kind->second);
+    for (const auto &[key, value] : _meta) {
+        if (key == "kind")
+            continue;
+        out.push_back(',');
+        json::appendString(out, key);
+        out.push_back(':');
+        json::appendString(out, value);
+    }
+    out += "},\"traceEvents\":[";
+
+    // Appends `<prefix><number>`; prefixes carry the JSON punctuation.
+    auto num = [&out](const char *prefix, double value) {
+        out += prefix;
+        json::appendNumber(out, value);
+    };
+    // Async "b"/"e" flow event: one Perfetto row per request id.
+    auto flow = [&](const char *phase, const Span &root, std::int64_t tNs) {
+        out += phase;
+        num(",\"cat\":\"request\",\"id\":",
+            static_cast<double>(root.request));
+        num(",\"name\":\"request\",\"pid\":0,\"tid\":0,\"ts\":",
+            static_cast<double>(tNs) / 1000.0);
+        num(",\"ts_ns\":", static_cast<double>(tNs));
+        out += "},";
+    };
+    for (const Span &span : _sealed) {
+        const bool is_root = span.parent < 0;
+        if (is_root)
+            flow("{\"ph\":\"b\"", span, span.beginNs);
+        // "cpu_op" keeps the export parseable by trace::readChromeFile
+        // (and therefore skipctl validate), which skips unmodeled
+        // categories.
+        const int tid = span.replica < 0 ? 0 : span.replica + 1;
+        out += "{\"ph\":\"X\",\"name\":";
+        json::appendString(out, span.stage);
+        num(",\"cat\":\"cpu_op\",\"pid\":0,\"tid\":", tid);
+        num(",\"ts\":", static_cast<double>(span.beginNs) / 1000.0);
+        num(",\"dur\":", static_cast<double>(span.durNs) / 1000.0);
+        num(",\"args\":{\"ts_ns\":", static_cast<double>(span.beginNs));
+        num(",\"dur_ns\":", static_cast<double>(span.durNs));
+        num(",\"thread\":", tid);
+        num(",\"span_id\":", static_cast<double>(span.id));
+        num(",\"parent\":", static_cast<double>(span.parent));
+        num(",\"request\":", static_cast<double>(span.request));
+        num(",\"replica\":", span.replica);
+        if (!span.detail.empty()) {
+            out += ",\"detail\":";
+            json::appendString(out, span.detail);
+        }
+        out += "}},";
+        if (is_root)
+            flow("{\"ph\":\"e\"", span, span.beginNs + span.durNs);
+    }
+    if (out.back() == ',')
+        out.pop_back(); // no trailing comma after the last event
+    out += "],\"displayTimeUnit\":\"ns\"}";
+    return out;
 }
 
 void
 SpanLog::writeChromeFile(const std::string &path) const
 {
-    json::writeFile(path, toChromeJson(), false);
+    json::writeTextFile(path, toChromeText());
 }
 
 SpanFile

@@ -37,6 +37,13 @@
  * "b"/"e" async pair per request for the per-request flow — Perfetto
  * renders those as one row per request id; our reader skips unknown
  * phases by design.
+ *
+ * The export is streamed: toChromeText() appends each span straight
+ * into one pre-reserved string through the JSON writer's own
+ * appendString/appendNumber, in O(spans) time with no document model
+ * in between. The bytes are exactly what json::write() prints for the
+ * equivalent json::Value document (json::write(json::parse(text)) ==
+ * text), so the format did not change when the DOM went away.
  */
 
 #ifndef SKIPSIM_OBS_SPAN_HH
@@ -161,7 +168,6 @@ class SpanLog
 
     /** @name Chrome-trace export; see file comment for the format.
      *  @{ */
-    json::Value toChromeJson() const;
     std::string toChromeText() const;
     void writeChromeFile(const std::string &path) const;
     /** @} */

@@ -1,10 +1,19 @@
 /**
  * @file
  * Unit tests for the JSON substrate: value model, parser (including
- * error reporting) and writer (compact/pretty, round trips).
+ * error reporting) and writer (compact/pretty, round trips, and its
+ * std::to_chars number and string primitives checked against the
+ * printf forms they replaced).
  */
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
 
 #include "common/logging.hh"
 #include "json/parser.hh"
@@ -258,6 +267,134 @@ TEST(JsonWriter, FileRoundTrip)
     writeFile(path, Value(std::move(obj)));
     Value v = parseFile(path);
     EXPECT_EQ(v.asObject().at("answer").asInt(), 42);
+}
+
+// The printf-based formatters the writer used before it moved to
+// std::to_chars; the streaming exporters depend on the two agreeing
+// byte for byte.
+std::string
+printfNumber(double d)
+{
+    if (!std::isfinite(d))
+        return "null";
+    char buf[64];
+    double rounded = std::nearbyint(d);
+    if (d == rounded && std::abs(d) < 9.007199254740992e15)
+        std::snprintf(buf, sizeof(buf), "%lld",
+                      static_cast<long long>(rounded));
+    else
+        std::snprintf(buf, sizeof(buf), "%.17g", d);
+    return buf;
+}
+
+std::string
+printfEscaped(const std::string &s)
+{
+    std::string out = "\"";
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\b': out += "\\b"; break;
+          case '\f': out += "\\f"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+                out += buf;
+            } else {
+                out.push_back(c);
+            }
+        }
+    }
+    return out + "\"";
+}
+
+std::string
+formatted(double d)
+{
+    std::string out;
+    appendNumber(out, d);
+    return out;
+}
+
+TEST(JsonWriter, AppendNumberMatchesPrintfOnEdgeCases)
+{
+    const double two53 = 9007199254740992.0;
+    const double edges[] = {
+        0.0, -0.0, 1.0, -1.0, 0.5, 0.1, 1.0 / 3.0, 1e-7, -1e-7,
+        1e-5, 1e-4, 1e15, 1e16, 1e17, 1e21, -1e21, 1e22, 1e300,
+        two53 - 1, two53, two53 + 2, -(two53 - 1), -two53,
+        std::nextafter(two53, 0.0), 123456789012345678.0,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::min() / 3.0,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::epsilon(),
+        1.234, 7.123, 9007199254740.993, 2500.5, 0.001,
+    };
+    for (double d : edges)
+        EXPECT_EQ(formatted(d), printfNumber(d)) << d;
+    EXPECT_EQ(formatted(-0.0), "0");
+    EXPECT_EQ(formatted(1e21), "1e+21");
+    EXPECT_EQ(formatted(1e-7), "9.9999999999999995e-08");
+    EXPECT_EQ(formatted(two53 - 1), "9007199254740991");
+    EXPECT_EQ(formatted(two53), "9007199254740992");
+    EXPECT_EQ(formatted(std::numeric_limits<double>::quiet_NaN()),
+              "null");
+    EXPECT_EQ(formatted(std::numeric_limits<double>::infinity()),
+              "null");
+    EXPECT_EQ(formatted(-std::numeric_limits<double>::infinity()),
+              "null");
+}
+
+TEST(JsonWriter, AppendNumberMatchesPrintfOnRandomDoubles)
+{
+    std::mt19937_64 rng(0x5eed);
+    std::uniform_int_distribution<std::int64_t> ns(
+        -(std::int64_t{1} << 60), std::int64_t{1} << 60);
+    std::uniform_int_distribution<std::int64_t> small_ns(0, 100'000'000);
+    std::size_t mismatches = 0;
+    std::string first_bad;
+    auto check = [&](double d) {
+        if (formatted(d) != printfNumber(d) && mismatches++ == 0)
+            first_bad = printfNumber(d);
+    };
+    for (int i = 0; i < 400'000; ++i) {
+        // The span exporter's numbers: ns / 1000 (ts, dur) and ns.
+        const std::int64_t t = i % 2 ? ns(rng) : small_ns(rng);
+        check(static_cast<double>(t) / 1000.0);
+        check(static_cast<double>(t));
+        // Raw bit patterns: every exponent, subnormals, NaN payloads.
+        const std::uint64_t bits = rng();
+        double d;
+        std::memcpy(&d, &bits, sizeof(d));
+        check(d);
+    }
+    EXPECT_EQ(mismatches, 0u) << "first printf form: " << first_bad;
+}
+
+TEST(JsonWriter, AppendStringMatchesPrintfEscaperOnEveryByte)
+{
+    std::string all;
+    for (int b = 0; b < 256; ++b) {
+        const std::string one(1, static_cast<char>(b));
+        std::string got;
+        appendString(got, one);
+        EXPECT_EQ(got, printfEscaped(one)) << "byte " << b;
+        all.push_back(static_cast<char>(b));
+    }
+    std::string got;
+    appendString(got, all + "tail" + all);
+    EXPECT_EQ(got, printfEscaped(all + "tail" + all));
+    got.clear();
+    appendString(got, "");
+    EXPECT_EQ(got, "\"\"");
 }
 
 TEST(JsonWriter, WriteToBadPathThrows)

@@ -2,10 +2,12 @@
  * @file
  * Lifecycle span tests: the SpanLog recording hooks (stage partition,
  * KV-fetch carve and clamp, restart collapse, disaggregated handoff),
- * the Chrome-trace export round trip and its malformed-document
- * errors, the checkSpans structural validator, latency attribution
- * over hand-built span sets, and the cluster-integration determinism
- * contract (byte-identical span export across repeated runs).
+ * the streamed Chrome-trace export (a pinned golden, canonical-JSON
+ * form, escaping and number edge cases), its round trip and its
+ * malformed-document errors, the checkSpans structural validator,
+ * latency attribution over hand-built span sets, and the
+ * cluster-integration determinism contract (byte-identical span
+ * export across repeated runs).
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 #include "json/writer.hh"
 #include "obs/attribution.hh"
 #include "obs/span.hh"
+#include "scenario/registry.hh"
 #include "workload/model_config.hh"
 
 using namespace skipsim;
@@ -276,6 +279,288 @@ TEST(SpanLog, IncompleteRequestsAreNeverSealed)
 
 // ------------------------------------------------- Chrome round trip
 
+/** A route reason / meta value holding every byte class that escapes. */
+const std::string kAwkwardText = "q\"b\\s\nc\x01t\x1f\x7f \xc3\xa9!";
+
+/**
+ * A small hand-built log that reaches every stage (queue, prefill_wait,
+ * kv_fetch, prefill, handoff, decode, disrupted), both child kinds
+ * (route, decode_iter), replica -1 (the router track), nanosecond
+ * values that are not multiples of 1000 and values past 2^53 and 1e17.
+ */
+void
+recordGoldenLog(obs::SpanLog &log)
+{
+    log.setMeta("ttft_slo_ms", "250");
+    log.setMeta("note", kAwkwardText);
+    // Request 0: KV fetch carved out of prefill, two decode iterations.
+    log.onArrival(0, 1234.0);
+    log.onRoute(0, 2500.5, 1, kAwkwardText);
+    log.onAdmit(0, 3001.0, 450.0, false);
+    log.onFirstToken(0, 5999.0);
+    log.onDecodeIter(0, 5999.0, 6500.0, 4);
+    log.onDecodeIter(0, 6500.0, 7123.0, 3);
+    // Request 1: disaggregated prefill -> handoff -> decode pool.
+    log.onArrival(1, 2000.0);
+    log.onRoute(1, 2100.0, 0, "prefill-pool");
+    log.onAdmit(1, 2200.0, 0.0, false);
+    log.onFirstToken(1, 4000.0);
+    log.onHandoffStart(1, 4000.0);
+    log.onRoute(1, 4300.0, 2, "decode-pool");
+    log.onAdmit(1, 4700.0, 120.0, true);
+    log.onDecodeIter(1, 4700.0, 5100.0, 2);
+    log.onComplete(0, 7123.0);
+    // Request 2: restarted before routing (a disrupted span on the
+    // router track) and again after admission.
+    log.onArrival(2, 3000.0);
+    log.onRestart(2, 3500.0);
+    log.onRoute(2, 3600.0, 0, "rr");
+    log.onAdmit(2, 3700.0, 0.0, false);
+    log.onRestart(2, 4100.0);
+    log.onRoute(2, 4200.0, 1, "rr after crash");
+    log.onAdmit(2, 4300.0, 0.0, false);
+    log.onFirstToken(2, 5000.0);
+    log.onComplete(2, 5000.0);
+    log.onComplete(1, 5100.0);
+    // Request 3: past 2^53 ns integers take the %.17g path, which
+    // switches to exponent form from 1e17.
+    log.onArrival(3, 9007199254740993.0);
+    log.onRoute(3, 9007199254741999.0, 0, "rr");
+    log.onAdmit(3, 123456789012345678.0, 0.0, false);
+    log.onFirstToken(3, 123456789012349999.0);
+    log.onComplete(3, 123456789012399999.0);
+}
+
+/** Every Span field of @p got matches @p want. */
+void
+expectSameSpans(const std::vector<obs::Span> &got,
+                const std::vector<obs::Span> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].id, want[i].id);
+        EXPECT_EQ(got[i].parent, want[i].parent);
+        EXPECT_EQ(got[i].request, want[i].request);
+        EXPECT_EQ(got[i].stage, want[i].stage);
+        EXPECT_EQ(got[i].beginNs, want[i].beginNs);
+        EXPECT_EQ(got[i].durNs, want[i].durNs);
+        EXPECT_EQ(got[i].replica, want[i].replica);
+        EXPECT_EQ(got[i].detail, want[i].detail);
+    }
+}
+
+TEST(SpanExport, PinnedGolden)
+{
+    // Captured from the DOM-based exporter (json::write of a
+    // json::Value tree) that the streaming one replaced: every byte of
+    // the format is pinned.
+    const std::string golden =
+        R"({"skipsimMeta":{"kind":"spans",)"
+        R"("note":"q\"b\\s\nc\u0001t\u001f)" "\x7f" R"( )" "\xc3\xa9" R"(!",)"
+        R"("ttft_slo_ms":"250"},"traceEvents":[)"
+        R"({"ph":"b","cat":"request","id":0,"name":"request","pid":0,"tid":0,)"
+        R"("ts":1.234,"ts_ns":1234},)"
+        R"({"ph":"X","name":"request","cat":"cpu_op","pid":0,"tid":0,)"
+        R"("ts":1.234,"dur":5.8890000000000002,"args":{"ts_ns":1234,)"
+        R"("dur_ns":5889,"thread":0,"span_id":0,"parent":-1,"request":0,)"
+        R"("replica":-1}},)"
+        R"({"ph":"e","cat":"request","id":0,"name":"request","pid":0,"tid":0,)"
+        R"("ts":7.1230000000000002,"ts_ns":7123},)"
+        R"({"ph":"X","name":"queue","cat":"cpu_op","pid":0,"tid":0,)"
+        R"("ts":1.234,"dur":1.2669999999999999,"args":{"ts_ns":1234,)"
+        R"("dur_ns":1267,"thread":0,"span_id":1,"parent":0,"request":0,)"
+        R"("replica":-1}},)"
+        R"({"ph":"X","name":"route","cat":"cpu_op","pid":0,"tid":2,)"
+        R"("ts":2.5009999999999999,"dur":0,"args":{"ts_ns":2501,"dur_ns":0,)"
+        R"("thread":2,"span_id":2,"parent":1,"request":0,"replica":1,)"
+        R"("detail":"q\"b\\s\nc\u0001t\u001f)"
+        "\x7f" R"( )" "\xc3\xa9" R"(!"}},)"
+        
+        R"({"ph":"X","name":"prefill_wait","cat":"cpu_op","pid":0,"tid":2,)"
+        R"("ts":2.5009999999999999,"dur":0.5,"args":{"ts_ns":2501,)"
+        R"("dur_ns":500,"thread":2,"span_id":3,"parent":0,"request":0,)"
+        R"("replica":1}},)"
+        R"({"ph":"X","name":"kv_fetch","cat":"cpu_op","pid":0,"tid":2,)"
+        R"("ts":3.0009999999999999,"dur":0.45000000000000001,)"
+        R"("args":{"ts_ns":3001,"dur_ns":450,"thread":2,"span_id":4,)"
+        R"("parent":0,"request":0,"replica":1}},)"
+        R"({"ph":"X","name":"prefill","cat":"cpu_op","pid":0,"tid":2,)"
+        R"("ts":3.4510000000000001,"dur":2.548,"args":{"ts_ns":3451,)"
+        R"("dur_ns":2548,"thread":2,"span_id":5,"parent":0,"request":0,)"
+        R"("replica":1}},)"
+        R"({"ph":"X","name":"decode","cat":"cpu_op","pid":0,"tid":2,)"
+        R"("ts":5.9989999999999997,"dur":1.1240000000000001,)"
+        R"("args":{"ts_ns":5999,"dur_ns":1124,"thread":2,"span_id":6,)"
+        R"("parent":0,"request":0,"replica":1}},)"
+        R"({"ph":"X","name":"decode_iter","cat":"cpu_op","pid":0,"tid":2,)"
+        R"("ts":5.9989999999999997,"dur":0.501,"args":{"ts_ns":5999,)"
+        R"("dur_ns":501,"thread":2,"span_id":7,"parent":6,"request":0,)"
+        R"("replica":1,"detail":"b=4"}},)"
+        R"({"ph":"X","name":"decode_iter","cat":"cpu_op","pid":0,"tid":2,)"
+        R"("ts":6.5,"dur":0.623,"args":{"ts_ns":6500,"dur_ns":623,"thread":2,)"
+        R"("span_id":8,"parent":6,"request":0,"replica":1,"detail":"b=3"}},)"
+        R"({"ph":"b","cat":"request","id":2,"name":"request","pid":0,"tid":0,)"
+        R"("ts":3,"ts_ns":3000},)"
+        R"({"ph":"X","name":"request","cat":"cpu_op","pid":0,"tid":0,"ts":3,)"
+        R"("dur":2,"args":{"ts_ns":3000,"dur_ns":2000,"thread":0,"span_id":9,)"
+        R"("parent":-1,"request":2,"replica":-1}},)"
+        R"({"ph":"e","cat":"request","id":2,"name":"request","pid":0,"tid":0,)"
+        R"("ts":5,"ts_ns":5000},)"
+        R"({"ph":"X","name":"disrupted","cat":"cpu_op","pid":0,"tid":0,)"
+        R"("ts":3,"dur":0.5,"args":{"ts_ns":3000,"dur_ns":500,"thread":0,)"
+        R"("span_id":10,"parent":9,"request":2,"replica":-1}},)"
+        R"({"ph":"X","name":"disrupted","cat":"cpu_op","pid":0,"tid":1,)"
+        R"("ts":3.5,"dur":0.59999999999999998,"args":{"ts_ns":3500,)"
+        R"("dur_ns":600,"thread":1,"span_id":11,"parent":9,"request":2,)"
+        R"("replica":0}},)"
+        R"({"ph":"X","name":"queue","cat":"cpu_op","pid":0,"tid":0,)"
+        R"("ts":4.0999999999999996,"dur":0.10000000000000001,)"
+        R"("args":{"ts_ns":4100,"dur_ns":100,"thread":0,"span_id":12,)"
+        R"("parent":9,"request":2,"replica":-1}},)"
+        R"({"ph":"X","name":"route","cat":"cpu_op","pid":0,"tid":2,)"
+        R"("ts":4.2000000000000002,"dur":0,"args":{"ts_ns":4200,"dur_ns":0,)"
+        R"("thread":2,"span_id":13,"parent":12,"request":2,"replica":1,)"
+        R"("detail":"rr after crash"}},)"
+        R"({"ph":"X","name":"prefill_wait","cat":"cpu_op","pid":0,"tid":2,)"
+        R"("ts":4.2000000000000002,"dur":0.10000000000000001,)"
+        R"("args":{"ts_ns":4200,"dur_ns":100,"thread":2,"span_id":14,)"
+        R"("parent":9,"request":2,"replica":1}},)"
+        R"({"ph":"X","name":"prefill","cat":"cpu_op","pid":0,"tid":2,)"
+        R"("ts":4.2999999999999998,"dur":0.69999999999999996,)"
+        R"("args":{"ts_ns":4300,"dur_ns":700,"thread":2,"span_id":15,)"
+        R"("parent":9,"request":2,"replica":1}},)"
+        R"({"ph":"X","name":"decode","cat":"cpu_op","pid":0,"tid":2,"ts":5,)"
+        R"("dur":0,"args":{"ts_ns":5000,"dur_ns":0,"thread":2,"span_id":16,)"
+        R"("parent":9,"request":2,"replica":1}},)"
+        R"({"ph":"b","cat":"request","id":1,"name":"request","pid":0,"tid":0,)"
+        R"("ts":2,"ts_ns":2000},)"
+        R"({"ph":"X","name":"request","cat":"cpu_op","pid":0,"tid":0,"ts":2,)"
+        R"("dur":3.1000000000000001,"args":{"ts_ns":2000,"dur_ns":3100,)"
+        R"("thread":0,"span_id":17,"parent":-1,"request":1,"replica":-1}},)"
+        R"({"ph":"e","cat":"request","id":1,"name":"request","pid":0,"tid":0,)"
+        R"("ts":5.0999999999999996,"ts_ns":5100},)"
+        R"({"ph":"X","name":"queue","cat":"cpu_op","pid":0,"tid":0,"ts":2,)"
+        R"("dur":0.10000000000000001,"args":{"ts_ns":2000,"dur_ns":100,)"
+        R"("thread":0,"span_id":18,"parent":17,"request":1,"replica":-1}},)"
+        R"({"ph":"X","name":"route","cat":"cpu_op","pid":0,"tid":1,)"
+        R"("ts":2.1000000000000001,"dur":0,"args":{"ts_ns":2100,"dur_ns":0,)"
+        R"("thread":1,"span_id":19,"parent":18,"request":1,"replica":0,)"
+        R"("detail":"prefill-pool"}},)"
+        R"({"ph":"X","name":"prefill_wait","cat":"cpu_op","pid":0,"tid":1,)"
+        R"("ts":2.1000000000000001,"dur":0.10000000000000001,)"
+        R"("args":{"ts_ns":2100,"dur_ns":100,"thread":1,"span_id":20,)"
+        R"("parent":17,"request":1,"replica":0}},)"
+        R"({"ph":"X","name":"prefill","cat":"cpu_op","pid":0,"tid":1,)"
+        R"("ts":2.2000000000000002,"dur":1.8,"args":{"ts_ns":2200,)"
+        R"("dur_ns":1800,"thread":1,"span_id":21,"parent":17,"request":1,)"
+        R"("replica":0}},)"
+        R"({"ph":"X","name":"handoff","cat":"cpu_op","pid":0,"tid":1,"ts":4,)"
+        R"("dur":0.69999999999999996,"args":{"ts_ns":4000,"dur_ns":700,)"
+        R"("thread":1,"span_id":22,"parent":17,"request":1,"replica":0}},)"
+        R"({"ph":"X","name":"route","cat":"cpu_op","pid":0,"tid":3,)"
+        R"("ts":4.2999999999999998,"dur":0,"args":{"ts_ns":4300,"dur_ns":0,)"
+        R"("thread":3,"span_id":23,"parent":22,"request":1,"replica":2,)"
+        R"("detail":"decode-pool"}},)"
+        R"({"ph":"X","name":"kv_fetch","cat":"cpu_op","pid":0,"tid":3,)"
+        R"("ts":4.7000000000000002,"dur":0.12,"args":{"ts_ns":4700,)"
+        R"("dur_ns":120,"thread":3,"span_id":24,"parent":17,"request":1,)"
+        R"("replica":2}},)"
+        R"({"ph":"X","name":"decode","cat":"cpu_op","pid":0,"tid":3,)"
+        R"("ts":4.8200000000000003,"dur":0.28000000000000003,)"
+        R"("args":{"ts_ns":4820,"dur_ns":280,"thread":3,"span_id":25,)"
+        R"("parent":17,"request":1,"replica":2}},)"
+        R"({"ph":"X","name":"decode_iter","cat":"cpu_op","pid":0,"tid":3,)"
+        R"("ts":4.7000000000000002,"dur":0.40000000000000002,)"
+        R"("args":{"ts_ns":4700,"dur_ns":400,"thread":3,"span_id":26,)"
+        R"("parent":25,"request":1,"replica":2,"detail":"b=2"}},)"
+        R"({"ph":"b","cat":"request","id":3,"name":"request","pid":0,"tid":0,)"
+        R"("ts":9007199254740.9922,"ts_ns":9007199254740992},)"
+        R"({"ph":"X","name":"request","cat":"cpu_op","pid":0,"tid":0,)"
+        R"("ts":9007199254740.9922,"dur":114449589757659.02,)"
+        R"("args":{"ts_ns":9007199254740992,"dur_ns":1.1444958975765901e+17,)"
+        R"("thread":0,"span_id":27,"parent":-1,"request":3,"replica":-1}},)"
+        R"({"ph":"e","cat":"request","id":3,"name":"request","pid":0,"tid":0,)"
+        R"("ts":123456789012400,"ts_ns":1.234567890124e+17},)"
+        R"({"ph":"X","name":"queue","cat":"cpu_op","pid":0,"tid":0,)"
+        R"("ts":9007199254740.9922,"dur":1.008,)"
+        R"("args":{"ts_ns":9007199254740992,"dur_ns":1008,"thread":0,)"
+        R"("span_id":28,"parent":27,"request":3,"replica":-1}},)"
+        R"({"ph":"X","name":"route","cat":"cpu_op","pid":0,"tid":1,)"
+        R"("ts":9007199254742,"dur":0,"args":{"ts_ns":9007199254742000,)"
+        R"("dur_ns":0,"thread":1,"span_id":29,"parent":28,"request":3,)"
+        R"("replica":0,"detail":"rr"}},)"
+        R"({"ph":"X","name":"prefill_wait","cat":"cpu_op","pid":0,"tid":1,)"
+        R"("ts":9007199254742,"dur":114449589757603.69,)"
+        R"("args":{"ts_ns":9007199254742000,"dur_ns":1.1444958975760368e+17,)"
+        R"("thread":1,"span_id":30,"parent":27,"request":3,"replica":0}},)"
+        R"({"ph":"X","name":"prefill","cat":"cpu_op","pid":0,"tid":1,)"
+        R"("ts":123456789012345.69,"dur":4.3200000000000003,)"
+        R"("args":{"ts_ns":1.2345678901234568e+17,"dur_ns":4320,"thread":1,)"
+        R"("span_id":31,"parent":27,"request":3,"replica":0}},)"
+        R"({"ph":"X","name":"decode","cat":"cpu_op","pid":0,"tid":1,)"
+        R"("ts":123456789012350,"dur":50,"args":{"ts_ns":1.2345678901235e+17,)"
+        R"("dur_ns":50000,"thread":1,"span_id":32,"parent":27,"request":3,)"
+        R"("replica":0}}],"displayTimeUnit":"ns"})";
+    obs::SpanLog log;
+    recordGoldenLog(log);
+    EXPECT_EQ(log.toChromeText(), golden);
+}
+
+TEST(SpanExport, EmptyLogAndKindOverride)
+{
+    obs::SpanLog empty;
+    EXPECT_EQ(empty.toChromeText(),
+              R"({"skipsimMeta":{"kind":"spans"},"traceEvents":[],)"
+              R"("displayTimeUnit":"ns"})");
+    // A "kind" entry overwrites the default in first position; the
+    // other entries follow in key order.
+    obs::SpanLog custom;
+    custom.setMeta("zeta", "z");
+    custom.setMeta("kind", "custom");
+    custom.setMeta("alpha", "a");
+    EXPECT_EQ(custom.toChromeText(),
+              R"({"skipsimMeta":{"kind":"custom","alpha":"a","zeta":"z"},)"
+              R"("traceEvents":[],"displayTimeUnit":"ns"})");
+}
+
+TEST(SpanExport, TextIsCanonicalJsonAndRoundTrips)
+{
+    obs::SpanLog log;
+    recordGoldenLog(log);
+    const std::string text = log.toChromeText();
+    // The writer's canonical form of the parsed text is the text.
+    EXPECT_EQ(json::write(json::parse(text)), text);
+
+    obs::SpanFile file = obs::spansFromChromeJson(json::parse(text));
+    EXPECT_EQ(file.meta.at("kind"), "spans");
+    EXPECT_EQ(file.meta.at("note"), kAwkwardText);
+    EXPECT_EQ(file.meta.at("ttft_slo_ms"), "250");
+    expectSameSpans(file.spans, log.spans());
+}
+
+TEST(SpanExport, RecordedKvOffloadRunIsCanonical)
+{
+    json::Object params;
+    params.set("horizon-sec", 4.0);
+    params.set("replicas", 1);
+    params.set("seed", 3);
+    cluster::ClusterSpec spec =
+        scenario::buildScenario("kv_offload", params);
+    obs::SpanLog log;
+    log.setMeta("scenario", "kv_offload");
+    cluster::simulateCluster(spec, nullptr, &log);
+    ASSERT_GT(log.requestCount(), 0u);
+    bool fetched = false;
+    for (const obs::Span &s : log.spans())
+        fetched = fetched || s.stage == obs::kStageKvFetch;
+    EXPECT_TRUE(fetched) << "the run should page KV back in";
+
+    const std::string text = log.toChromeText();
+    EXPECT_EQ(json::write(json::parse(text)), text);
+    expectSameSpans(
+        obs::spansFromChromeJson(json::parse(text)).spans, log.spans());
+}
+
 TEST(SpanFile, ChromeExportRoundTripsEverySealedSpan)
 {
     obs::SpanLog log;
@@ -288,22 +573,10 @@ TEST(SpanFile, ChromeExportRoundTripsEverySealedSpan)
     log.onComplete(0, 6100.0);
 
     obs::SpanFile file =
-        obs::spansFromChromeJson(log.toChromeJson());
+        obs::spansFromChromeJson(json::parse(log.toChromeText()));
     EXPECT_EQ(file.meta.at("kind"), "spans");
     EXPECT_EQ(file.meta.at("ttft_slo_ms"), "250");
-    ASSERT_EQ(file.spans.size(), log.spans().size());
-    for (std::size_t i = 0; i < file.spans.size(); ++i) {
-        const obs::Span &got = file.spans[i];
-        const obs::Span &want = log.spans()[i];
-        EXPECT_EQ(got.id, want.id);
-        EXPECT_EQ(got.parent, want.parent);
-        EXPECT_EQ(got.request, want.request);
-        EXPECT_EQ(got.stage, want.stage);
-        EXPECT_EQ(got.beginNs, want.beginNs);
-        EXPECT_EQ(got.durNs, want.durNs);
-        EXPECT_EQ(got.replica, want.replica);
-        EXPECT_EQ(got.detail, want.detail);
-    }
+    expectSameSpans(file.spans, log.spans());
 }
 
 TEST(SpanFile, MalformedDocumentsAreFatal)
