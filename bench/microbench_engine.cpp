@@ -434,6 +434,43 @@ BENCHMARK(BM_ClusterSpanOverhead)
     ->Unit(benchmark::kMillisecond);
 
 void
+BM_ClusterEventLoop(benchmark::State &state)
+{
+    // The cluster engine's event loop at fleet scale: a spans-off
+    // datacenter scenario, 256 replicas over 1 s (~7.7K requests,
+    // ~31K events). Arrivals stream one pending event at a time and
+    // the per-event path does not allocate, so events/s here tracks
+    // the pending-set and handler cost per event; pre-seeding every
+    // arrival or allocating per event shows up as a drop.
+    json::Object params;
+    params.set("replicas", 256);
+    params.set("horizon-sec", 1.0);
+    params.set("gen-tokens", 8);
+    params.set("seed", 1);
+    cluster::ClusterSpec spec =
+        scenario::buildScenario("datacenter", params);
+    cluster::CostCache costs;
+    costs.build(spec);
+    std::uint64_t events = 0;
+    std::size_t requests = 0;
+    for (auto _ : state) {
+        core::ShardStats stats;
+        cluster::ClusterResult result = cluster::simulateCluster(
+            spec, costs, nullptr, nullptr, &stats);
+        events = stats.events;
+        requests = result.offered;
+        benchmark::DoNotOptimize(result.completed);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * requests));
+    state.counters["events/s"] = benchmark::Counter(
+        static_cast<double>(events) *
+            static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ClusterEventLoop)->Unit(benchmark::kMillisecond);
+
+void
 BM_SpanExport(benchmark::State &state)
 {
     // Chrome export of a recorded kv_offload span log (what `skipctl
@@ -464,10 +501,11 @@ BENCHMARK(BM_SpanExport)->Unit(benchmark::kMillisecond);
 // google-benchmark rejects flags it does not recognize, so a custom
 // main translates the repo-wide --quick convention (see the ext_*
 // drivers) into a filter + short measurement budget for CI: the
-// event-queue, router, span-overhead and span-export rows plus the
-// SKIP analysis rows (dependency graph, metrics, analyzer build, chain
-// mining), enough to catch gross regressions such as a return to
-// linear id lookups, per-window allocation or a per-span JSON
+// event-queue, router, cluster event-loop, span-overhead and
+// span-export rows plus the SKIP analysis rows (dependency graph,
+// metrics, analyzer build, chain mining), enough to catch gross
+// regressions such as a return to linear id lookups, pre-seeded
+// arrivals, per-event or per-window allocation or a per-span JSON
 // document in the span export.
 int
 main(int argc, char **argv)
@@ -483,8 +521,8 @@ main(int argc, char **argv)
     static std::string filter =
         "--benchmark_filter=BM_EventQueueThroughput|"
         "BM_CalendarVsHeap|BM_MailboxThroughput|"
-        "BM_ShardedMerge|BM_RouterPick|BM_ClusterSpanOverhead|"
-        "BM_SpanExport|"
+        "BM_ShardedMerge|BM_RouterPick|BM_ClusterEventLoop|"
+        "BM_ClusterSpanOverhead|BM_SpanExport|"
         "BM_DependencyGraphBuild|BM_ComputeMetrics|"
         "BM_ProximityAnalyzerBuild|BM_ChainMining";
     static std::string min_time = "--benchmark_min_time=0.05";

@@ -297,7 +297,7 @@ checkStreamOrder(const trace::Trace &trace, TraceCheckReport &out,
  * correlation ids themselves are corrupted.
  */
 void
-checkQueueDepth(const trace::Trace &trace, TraceCheckReport &out,
+checkQueueDepth(TraceCheckReport &out,
                 const std::map<std::uint64_t,
                                std::pair<const TraceEvent *,
                                          const TraceEvent *>> &pairs)
@@ -400,7 +400,7 @@ validateTrace(const trace::Trace &trace)
     checkCorrelations(trace, out, pairs);
     checkOperatorEnclosure(trace, out);
     checkStreamOrder(trace, out, pairs);
-    checkQueueDepth(trace, out, pairs);
+    checkQueueDepth(out, pairs);
     return out;
 }
 

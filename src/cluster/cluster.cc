@@ -257,6 +257,11 @@ enum EventType
  * core queue orders by (time, priority, seq), so the index is packed
  * under the type and push order stands in for the serial (a replica's
  * iteration-end events are pushed in serial order).
+ *
+ * The index saturates at 2^20 - 1, so equal-time events of one type
+ * past that index fall back on push order. Arrivals stay in id order
+ * there too: Sim::run streams them, pushing arrival i + 1 only while
+ * arrival i executes, so their push order is their id order.
  */
 int
 eventPriority(EventType type, std::size_t idx)
@@ -264,6 +269,18 @@ eventPriority(EventType type, std::size_t idx)
     constexpr std::size_t stride = std::size_t{1} << 20;
     return static_cast<int>(type) * static_cast<int>(stride) +
         static_cast<int>(std::min(idx, stride - 1));
+}
+
+/**
+ * A request id or replica index as captured by an event closure: two
+ * 32-bit indices plus `this` fit std::function's 16-byte inline
+ * buffer, so posting such an event does not allocate. Sim::run bounds
+ * the request count; fleets are far below 2^32 replicas.
+ */
+std::uint32_t
+narrow(std::size_t idx)
+{
+    return static_cast<std::uint32_t>(idx);
 }
 
 struct Request
@@ -490,8 +507,9 @@ class Sim
                                            bool decode_entry) {
                     _spans->onAdmit(id, now, stall_ns, decode_entry);
                 };
-            cb.onIteration =
-                [this, r](const serving::IterationInfo &info) {
+            if (_obs != nullptr || _spans != nullptr)
+                cb.onIteration = [this, r](
+                                     const serving::IterationInfo &info) {
                     if (_obs != nullptr) {
                         // Captured by value: the IterationInfo
                         // reference dies with the callback, but the
@@ -582,6 +600,10 @@ class Sim
         return _engine.shard(_plan.routerShard).unsafeScheduler();
     }
 
+    /** Post request @p id's arrival event (see onArrival). */
+    void scheduleArrival(std::size_t id);
+    /** Request @p id arrived: post the next arrival, then route. */
+    void onArrival(std::size_t id, double now);
     void dispatch(std::size_t id, double now);
     /** A routed request reached replica @p r: stage and enqueue. */
     void deliver(std::size_t id, std::size_t r, double now);
@@ -661,6 +683,26 @@ Sim::makeWeights(const ClusterSpec &spec, const CostCache &costs)
 }
 
 void
+Sim::scheduleArrival(std::size_t id)
+{
+    routerSched().at(_requests[id].arrivalNs,
+                     eventPriority(EvArrival, id),
+                     [this, id](double now) { onArrival(id, now); });
+}
+
+void
+Sim::onArrival(std::size_t id, double now)
+{
+    // The next arrival is posted before this one routes, so arrival
+    // serials stay in id order and below every event this dispatch
+    // posts, as when the whole timeline was seeded up front. Arrival
+    // times never decrease, so it is never behind the clock.
+    if (id + 1 < _requests.size())
+        scheduleArrival(id + 1);
+    dispatch(id, now);
+}
+
+void
 Sim::dispatch(std::size_t id, double now)
 {
     Request &req = _requests[id];
@@ -718,7 +760,8 @@ Sim::dispatch(std::size_t id, double now)
             // the shard lookahead is derived from.
             replicaSched(r).at(now + _dispatchNs,
                                eventPriority(EvDeliver, id),
-                               [this, id, r](double t) {
+                               [this, id = narrow(id),
+                                r = narrow(r)](double t) {
                                    deliver(id, r, t);
                                });
             return;
@@ -746,7 +789,8 @@ Sim::deliver(std::size_t id, std::size_t r, double now)
         // it — the bandwidth-contention coupling.
         double end = chargeLane(r, _stageBytes, now);
         replicaSched(r).at(
-            end, eventPriority(EvStage, id), [this, id, r](double t) {
+            end, eventPriority(EvStage, id),
+            [this, id = narrow(id), r = narrow(r)](double t) {
                 ReplicaRt &rep = _reps[r];
                 if (rep.partitioned) {
                     rep.limbo.push_back(id);
@@ -783,7 +827,7 @@ Sim::startHandoffInto(std::size_t id, std::size_t r, double now)
 {
     double end = chargeLane(r, _kvPerSeqBytes, now);
     replicaSched(r).at(end, eventPriority(EvKvXfer, id),
-                       [this, id, r](double t) {
+                       [this, id = narrow(id), r = narrow(r)](double t) {
                            onKvArrive(id, r, t);
                        });
 }
@@ -1001,8 +1045,15 @@ Sim::run()
     const int tenant_cap = _spec.tenants.empty()
         ? 0
         : static_cast<int>(_spec.tenants.size()) - 1;
-    for (const serving::Arrival &arr :
-         process->generate(_horizonNs, _spec.seed)) {
+    const std::vector<serving::Arrival> arrivals =
+        process->generate(_horizonNs, _spec.seed);
+    if (arrivals.size() > std::numeric_limits<std::uint32_t>::max())
+        fatal(strprintf("simulateCluster: %zu arrivals exceed the "
+                        "2^32 - 1 request limit; lower the rate or "
+                        "the horizon",
+                        arrivals.size()));
+    _requests.reserve(arrivals.size());
+    for (const serving::Arrival &arr : arrivals) {
         Request req;
         req.arrivalNs = arr.timeNs;
         req.session = arr.session;
@@ -1019,20 +1070,21 @@ Sim::run()
     }
     // Arrivals and faults are router-side events; seeding them on the
     // router's shard before the run never counts as mailbox traffic.
-    for (std::size_t id = 0; id < _requests.size(); ++id)
-        routerSched().at(_requests[id].arrivalNs,
-                         eventPriority(EvArrival, id),
-                         [this, id](double now) { dispatch(id, now); });
+    // Only the first arrival is seeded: each arrival posts the next
+    // one (onArrival), so one arrival is pending at any time and the
+    // pending set does not grow with the horizon.
+    if (!_requests.empty())
+        scheduleArrival(0);
     for (std::size_t i = 0; i < _spec.faults.size(); ++i)
         routerSched().at(_spec.faults[i].atSec * 1e9,
                          eventPriority(EvFault, i),
                          [this, i](double now) { onFault(i, now); });
 
-    // Sample every probe boundary up to (and including) each event's
-    // instant before applying it: boundary samples see the state as
-    // of the boundary, never a partially applied event.
-    _engine.onBeforeEvent([this](double tNs) { flushObs(tNs); });
     if (_obs != nullptr) {
+        // Sample every probe boundary up to (and including) each
+        // event's instant before applying it: boundary samples see the
+        // state as of the boundary, never a partially applied event.
+        _engine.onBeforeEvent([this](double tNs) { flushObs(tNs); });
         // Boundary samples read global state, so a parallel window
         // must never span one. The hook above has already flushed
         // through its event's instant when this runs, making the

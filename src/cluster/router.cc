@@ -12,6 +12,16 @@ namespace skipsim::cluster
 namespace
 {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** The smaller of two sibling tree nodes. On equal loads the left
+ *  child, which holds the lower indices, wins: the lowest-index
+ *  tie-break of a scan in index order. */
+template <class Node>
+const Node &
+minChild(const Node &left, const Node &right)
+{
+    return right.load < left.load ? right : left;
+}
 } // namespace
 
 const char *
@@ -116,12 +126,15 @@ Router::setLeaf(Tree &tree, std::size_t replica, double load) const
 {
     std::size_t i = _leaves + replica;
     tree.nodes[i].load = load;
-    // On equal loads the left child, which holds the lower indices,
-    // wins: the lowest-index tie-break of a scan in index order.
+    // A parent that comes out unchanged leaves every ancestor
+    // unchanged too, so the walk stops there.
     for (i /= 2; i >= 1; i /= 2) {
-        const Node &left = tree.nodes[2 * i];
-        const Node &right = tree.nodes[2 * i + 1];
-        tree.nodes[i] = right.load < left.load ? right : left;
+        const Node &best =
+            minChild(tree.nodes[2 * i], tree.nodes[2 * i + 1]);
+        Node &node = tree.nodes[i];
+        if (node.load == best.load && node.replica == best.replica)
+            break;
+        node = best;
     }
 }
 
@@ -146,10 +159,11 @@ Router::treeFor(unsigned klass) const
     Tree &tree = _trees.emplace_back();
     tree.klass = klass;
     tree.nodes.assign(2 * _leaves, Node{kInf, npos()});
-    for (std::size_t r = 0; r < _weights.size(); ++r) {
-        tree.nodes[_leaves + r].replica = r;
-        setLeaf(tree, r, leafLoad(tree, r));
-    }
+    for (std::size_t r = 0; r < _weights.size(); ++r)
+        tree.nodes[_leaves + r] = Node{leafLoad(tree, r), r};
+    for (std::size_t i = _leaves - 1; i >= 1; --i)
+        tree.nodes[i] =
+            minChild(tree.nodes[2 * i], tree.nodes[2 * i + 1]);
     return tree;
 }
 

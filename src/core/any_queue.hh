@@ -1,6 +1,6 @@
 /**
  * @file
- * Queue-kind selection for the engines: the binary heap
+ * Queue-kind selection for the engines: the 4-ary heap
  * (core::EventQueue) or the calendar queue (core::CalendarQueue)
  * behind one concrete wrapper. Both structures implement the same
  * (time, priority, seq) total order, so the choice is invisible in
@@ -28,7 +28,7 @@ namespace skipsim::core
 /** Pending-event-set implementations selectable at engine build. */
 enum class QueueKind
 {
-    Heap,    ///< binary min-heap (core::EventQueue)
+    Heap,    ///< 4-ary min-heap (core::EventQueue)
     Calendar ///< calendar queue (core::CalendarQueue)
 };
 
@@ -63,7 +63,7 @@ class AnyQueue
     }
 
     void
-    push(Event ev)
+    push(Event &&ev)
     {
         if (_kind == QueueKind::Heap)
             _heap.push(std::move(ev));
@@ -99,7 +99,7 @@ class AnyQueue
                                         : _calendar.nextPriority();
     }
 
-    const Event &
+    const EventKey &
     peek() const
     {
         return _kind == QueueKind::Heap ? _heap.peek()

@@ -15,17 +15,6 @@ namespace
 
 constexpr std::size_t kInitialBuckets = 16;
 
-/** @return true when @p a executes before @p b (strict). */
-bool
-before(const Event &a, const Event &b)
-{
-    if (a.timeNs != b.timeNs)
-        return a.timeNs < b.timeNs;
-    if (a.priority != b.priority)
-        return a.priority < b.priority;
-    return a.seq < b.seq;
-}
-
 } // namespace
 
 CalendarQueue::CalendarQueue()
@@ -46,15 +35,16 @@ CalendarQueue::bucketOf(double timeNs) const
 }
 
 void
-CalendarQueue::insertSorted(std::vector<Event> &bucket, Event ev)
+CalendarQueue::insertSorted(std::vector<EventKey> &bucket,
+                            const EventKey &key)
 {
     // Descending order: the bucket minimum lives at back() so pop is
     // an O(1) pop_back. Linear insertion is fine — the width estimate
     // keeps buckets near one event per day, so the scan is short.
     auto it = bucket.end();
-    while (it != bucket.begin() && before(*(it - 1), ev))
+    while (it != bucket.begin() && executesBefore(*(it - 1), key))
         --it;
-    bucket.insert(it, std::move(ev));
+    bucket.insert(it, key);
 }
 
 void
@@ -69,16 +59,18 @@ CalendarQueue::schedule(double timeNs, int priority, EventFn fn)
 }
 
 void
-CalendarQueue::push(Event ev)
+CalendarQueue::push(Event &&ev)
 {
     if (std::isnan(ev.timeNs))
         panic("core::CalendarQueue: NaN event time");
-    std::size_t b = bucketOf(ev.timeNs);
+    const EventKey key{ev.timeNs, ev.priority,
+                       _slab.put(std::move(ev.fn)), ev.seq};
+    std::size_t b = bucketOf(key.timeNs);
     // Keep the min cache coherent: a new global minimum lands at the
     // back of its bucket, so the cache can follow it for free.
-    if (_minValid && before(ev, _buckets[_minBucket].back()))
+    if (_minValid && executesBefore(key, _buckets[_minBucket].back()))
         _minBucket = b;
-    insertSorted(_buckets[b], std::move(ev));
+    insertSorted(_buckets[b], key);
     ++_size;
     if (_size > 2 * _buckets.size())
         rebuild(_buckets.size() * 2);
@@ -87,13 +79,13 @@ CalendarQueue::push(Event ev)
 void
 CalendarQueue::directScan() const
 {
-    const Event *best = nullptr;
+    const EventKey *best = nullptr;
     std::size_t best_bucket = 0;
     for (std::size_t i = 0; i < _buckets.size(); ++i) {
         if (_buckets[i].empty())
             continue;
-        const Event &cand = _buckets[i].back();
-        if (best == nullptr || before(cand, *best)) {
+        const EventKey &cand = _buckets[i].back();
+        if (best == nullptr || executesBefore(cand, *best)) {
             best = &cand;
             best_bucket = i;
         }
@@ -124,9 +116,9 @@ CalendarQueue::findMin() const
     for (std::size_t i = 0; i < _buckets.size(); ++i) {
         std::int64_t day = d0 + static_cast<std::int64_t>(i);
         std::size_t b = static_cast<std::size_t>(day) & _mask;
-        const std::vector<Event> &bucket = _buckets[b];
+        const std::vector<EventKey> &bucket = _buckets[b];
         if (!bucket.empty()) {
-            const Event &cand = bucket.back();
+            const EventKey &cand = bucket.back();
             // Same floor arithmetic as bucketOf: comparing against
             // day boundaries computed by multiplication instead would
             // disagree with the mapping near the boundary (floating
@@ -153,7 +145,7 @@ CalendarQueue::findMin() const
     directScan();
 }
 
-const Event &
+const EventKey &
 CalendarQueue::peek() const
 {
     if (_size == 0)
@@ -184,16 +176,16 @@ CalendarQueue::pop()
     if (_size == 0)
         panic("core::CalendarQueue: pop from empty queue");
     findMin();
-    std::vector<Event> &bucket = _buckets[_minBucket];
-    Event ev = std::move(bucket.back());
+    std::vector<EventKey> &bucket = _buckets[_minBucket];
+    const EventKey key = bucket.back();
     bucket.pop_back();
     --_size;
     _minValid = false;
-    _lastNs = ev.timeNs;
+    _lastNs = key.timeNs;
     if (_buckets.size() > kInitialBuckets &&
         _size < _buckets.size() / 4)
         rebuild(_buckets.size() / 2);
-    return ev;
+    return Event{key.timeNs, key.priority, key.seq, _slab.take(key.slot)};
 }
 
 void
@@ -201,6 +193,7 @@ CalendarQueue::clear()
 {
     for (auto &bucket : _buckets)
         bucket.clear();
+    _slab.clear();
     _size = 0;
     _minValid = false;
     _lastNs = -std::numeric_limits<double>::infinity();
@@ -209,11 +202,10 @@ CalendarQueue::clear()
 void
 CalendarQueue::rebuild(std::size_t buckets)
 {
-    std::vector<Event> all;
+    std::vector<EventKey> all;
     all.reserve(_size);
     for (auto &bucket : _buckets) {
-        for (Event &ev : bucket)
-            all.push_back(std::move(ev));
+        all.insert(all.end(), bucket.begin(), bucket.end());
         bucket.clear();
     }
 
@@ -224,9 +216,9 @@ CalendarQueue::rebuild(std::size_t buckets)
     if (all.size() > 1) {
         double lo = std::numeric_limits<double>::infinity();
         double hi = -std::numeric_limits<double>::infinity();
-        for (const Event &ev : all) {
-            lo = std::min(lo, ev.timeNs);
-            hi = std::max(hi, ev.timeNs);
+        for (const EventKey &key : all) {
+            lo = std::min(lo, key.timeNs);
+            hi = std::max(hi, key.timeNs);
         }
         double span = hi - lo;
         if (span > 0.0)
@@ -237,10 +229,8 @@ CalendarQueue::rebuild(std::size_t buckets)
     _mask = buckets - 1;
     _minValid = false;
     ++_resizes;
-    for (Event &ev : all) {
-        std::size_t b = bucketOf(ev.timeNs);
-        insertSorted(_buckets[b], std::move(ev));
-    }
+    for (const EventKey &key : all)
+        insertSorted(_buckets[bucketOf(key.timeNs)], key);
 }
 
 } // namespace skipsim::core

@@ -1,7 +1,7 @@
 /**
  * @file
  * Calendar queue (Brown 1988): an alternative pending-event set to the
- * binary heap in core::EventQueue. Time is divided into fixed-width
+ * 4-ary heap in core::EventQueue. Time is divided into fixed-width
  * "days" mapped onto a power-of-two ring of buckets; an event lands in
  * the bucket of its day, each bucket is kept sorted, and pop walks the
  * calendar day by day. For the near-uniform event-time distributions a
@@ -10,6 +10,8 @@
  *
  * Order contract: identical to EventQueue — the project-wide
  * (time, priority, seq) total order, where `seq` is the push serial.
+ * Storage follows EventQueue too: buckets hold plain EventKeys and the
+ * closures live in a ClosureSlab.
  * The randomized differential oracle in tests/test_core.cpp drives
  * both structures with colliding timestamps and asserts byte-equal pop
  * sequences; the datacenter bench byte-compares full cluster reports
@@ -39,7 +41,7 @@ class CalendarQueue
 
     /** Insert a fully-formed event, keeping its pre-assigned seq
      *  (same contract as EventQueue::push). */
-    void push(Event ev);
+    void push(Event &&ev);
 
     bool empty() const { return _size == 0; }
     std::size_t size() const { return _size; }
@@ -50,9 +52,9 @@ class CalendarQueue
     /** Priority of the next event. @throws PanicError when empty. */
     int nextPriority() const;
 
-    /** The next event without removing it. @throws PanicError when
-     *  empty. The reference is invalidated by any mutation. */
-    const Event &peek() const;
+    /** Key of the next event without removing it. @throws PanicError
+     *  when empty. The reference is invalidated by any mutation. */
+    const EventKey &peek() const;
 
     /** Remove and return the next event under (time, priority, seq). */
     Event pop();
@@ -79,10 +81,12 @@ class CalendarQueue
      *  current population. */
     void rebuild(std::size_t buckets);
 
-    void insertSorted(std::vector<Event> &bucket, Event ev);
+    void insertSorted(std::vector<EventKey> &bucket,
+                      const EventKey &key);
 
     /** Buckets sorted descending, so bucket.back() is its minimum. */
-    std::vector<std::vector<Event>> _buckets;
+    std::vector<std::vector<EventKey>> _buckets;
+    ClosureSlab _slab;
     std::size_t _mask = 0;
     double _widthNs = 1.0;
     std::size_t _size = 0;

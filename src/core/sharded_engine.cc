@@ -11,18 +11,6 @@ namespace skipsim::core
 namespace
 {
 
-/** @return true when @p a executes before @p b under the project-wide
- *  (time, priority, seq) total order. */
-bool
-executesBefore(const Event &a, const Event &b)
-{
-    if (a.timeNs != b.timeNs)
-        return a.timeNs < b.timeNs;
-    if (a.priority != b.priority)
-        return a.priority < b.priority;
-    return a.seq < b.seq;
-}
-
 /** Executing-window context of the current thread. `engine` is the
  *  routing discriminator: postings and defer() calls made while it
  *  matches belong to the window of shard `shard`. */
@@ -89,7 +77,7 @@ ShardedEngine::shard(std::size_t index)
 }
 
 void
-ShardedEngine::deliver(std::size_t target, Event ev, bool unsafeTag)
+ShardedEngine::deliver(std::size_t target, Event &&ev, bool unsafeTag)
 {
     Shard &sh = *_shards[target];
     (unsafeTag ? sh._unsafe : sh._safe).push(std::move(ev));
@@ -97,7 +85,7 @@ ShardedEngine::deliver(std::size_t target, Event ev, bool unsafeTag)
 
 void
 ShardedEngine::post(std::size_t target, double tNs, int priority,
-                    EventFn fn, bool unsafeTag)
+                    EventFn &&fn, bool unsafeTag)
 {
     if (t_window.engine == this) {
         parallelPost(t_window.shard, target, tNs, priority,
@@ -119,7 +107,7 @@ ShardedEngine::post(std::size_t target, double tNs, int priority,
 
 void
 ShardedEngine::parallelPost(std::size_t src, std::size_t target,
-                            double tNs, int priority, EventFn fn,
+                            double tNs, int priority, EventFn &&fn,
                             bool unsafeTag)
 {
     Shard &sh = *_shards[src];
@@ -155,25 +143,27 @@ ShardedEngine::parallelPost(std::size_t src, std::size_t target,
         _spill[t_window.worker].push_back(std::move(msg));
 }
 
-void
-ShardedEngine::defer(std::function<void()> fn)
+bool
+ShardedEngine::inParallelWindow() const
 {
-    if (t_window.engine == this) {
-        _shards[t_window.shard]->_defers.push_back(std::move(fn));
-        return;
-    }
-    fn();
+    return t_window.engine == this;
+}
+
+void
+ShardedEngine::journalDefer(std::function<void()> fn)
+{
+    _shards[t_window.shard]->_defers.push_back(std::move(fn));
 }
 
 ShardedEngine::Head
 ShardedEngine::globalMin() const
 {
     Head best;
-    const Event *bestEv = nullptr;
+    const EventKey *bestEv = nullptr;
     for (std::size_t s = 0; s < _shards.size(); ++s) {
         const Shard &sh = *_shards[s];
         if (!sh._safe.empty()) {
-            const Event &cand = sh._safe.peek();
+            const EventKey &cand = sh._safe.peek();
             if (bestEv == nullptr || executesBefore(cand, *bestEv)) {
                 best.shard = s;
                 best.fromUnsafe = false;
@@ -181,7 +171,7 @@ ShardedEngine::globalMin() const
             }
         }
         if (!sh._unsafe.empty()) {
-            const Event &cand = sh._unsafe.peek();
+            const EventKey &cand = sh._unsafe.peek();
             if (bestEv == nullptr || executesBefore(cand, *bestEv)) {
                 best.shard = s;
                 best.fromUnsafe = true;
@@ -192,7 +182,7 @@ ShardedEngine::globalMin() const
     return best;
 }
 
-const Event &
+const EventKey &
 ShardedEngine::headEvent(const Head &head) const
 {
     const Shard &sh = *_shards[head.shard];

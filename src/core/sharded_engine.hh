@@ -53,6 +53,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/any_queue.hh"
@@ -266,9 +267,19 @@ class ShardedEngine
      * must touch state owned outside their shard (routers, global
      * accumulators, ordered exports) wrap those writes in defer();
      * everything shard-local stays inline. Deferred closures must not
-     * post events.
+     * post events. Only a journaled call is wrapped in a
+     * std::function; the inline path calls @p fn directly, so
+     * sequential runs pay no allocation for it.
      */
-    void defer(std::function<void()> fn);
+    template <class F>
+    void
+    defer(F &&fn)
+    {
+        if (inParallelWindow())
+            journalDefer(std::function<void()>(std::forward<F>(fn)));
+        else
+            fn();
+    }
 
     /** Run until every queue drains. @return events processed. */
     std::size_t run();
@@ -303,18 +314,24 @@ class ShardedEngine
         bool fromUnsafe = false;
     };
 
-    void post(std::size_t target, double tNs, int priority, EventFn fn,
+    /** True on a worker thread executing one of this engine's
+     *  parallel windows. */
+    bool inParallelWindow() const;
+    /** Journal a defer() made inside the executing window. */
+    void journalDefer(std::function<void()> fn);
+
+    void post(std::size_t target, double tNs, int priority, EventFn &&fn,
               bool unsafeTag);
     /** Route a posting made inside a parallel window. */
     void parallelPost(std::size_t src, std::size_t target, double tNs,
-                      int priority, EventFn fn, bool unsafeTag);
+                      int priority, EventFn &&fn, bool unsafeTag);
     /** Push a final-serial event into @p target's queue by tag. */
-    void deliver(std::size_t target, Event ev, bool unsafeTag);
+    void deliver(std::size_t target, Event &&ev, bool unsafeTag);
 
     /** Globally minimal head under (time, priority, seq); shard ==
      *  npos when every queue is empty. */
     Head globalMin() const;
-    const Event &headEvent(const Head &head) const;
+    const EventKey &headEvent(const Head &head) const;
 
     std::size_t runSequential();
     std::size_t runThreaded();

@@ -251,15 +251,17 @@ ReplicaEngine::onIterEnd(double tNs, std::uint64_t serial)
         // iteration joins the batch afterwards, so it does not decode
         // in the very iteration that prefilled it.
         if (info.decodeBatch > 0) {
-            std::vector<std::pair<std::size_t, int>> still;
-            still.reserve(_active.size());
-            for (auto &[id, left] : _active) {
+            // Compact in place: survivors keep their relative order
+            // and finishers complete in batch order, as before.
+            std::size_t kept = 0;
+            for (std::size_t i = 0; i < _active.size(); ++i) {
+                auto [id, left] = _active[i];
                 if (--left <= 0)
                     completeSeq(id, tNs);
                 else
-                    still.emplace_back(id, left);
+                    _active[kept++] = {id, left};
             }
-            _active.swap(still);
+            _active.resize(kept);
         }
         if (info.chunkFinished) {
             if (_cb.onFirstToken)

@@ -73,21 +73,40 @@ Summary::stddev() const
 namespace
 {
 
-/** Percentile of an already-sorted sample vector. */
-double
-sortedPercentile(const std::vector<double> &xs, double p)
+/** The two sorted positions percentile p interpolates between, and
+ *  the weight of the upper one. */
+struct Rank
+{
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    double frac = 0.0;
+};
+
+/** Rank of percentile @p p in @p n sorted samples (n >= 1). */
+Rank
+rankOf(std::size_t n, double p)
 {
     // Negated form so NaN (every comparison false) is rejected too,
     // instead of flowing into the rank arithmetic as UB.
     if (!(p >= 0.0 && p <= 100.0))
         fatal("percentile p must be within [0, 100]");
+    double rank = p / 100.0 * static_cast<double>(n - 1);
+    Rank out;
+    out.lo = static_cast<std::size_t>(rank);
+    out.hi = std::min(out.lo + 1, n - 1);
+    out.frac = rank - static_cast<double>(out.lo);
+    return out;
+}
+
+/** Percentile @p p of samples whose positions rankOf(xs.size(), p)
+ *  names already hold their sorted values. */
+double
+sortedPercentile(const std::vector<double> &xs, double p)
+{
+    const Rank r = rankOf(xs.size(), p);
     if (xs.size() == 1)
         return xs[0];
-    double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
-    std::size_t lo = static_cast<std::size_t>(rank);
-    std::size_t hi = std::min(lo + 1, xs.size() - 1);
-    double frac = rank - static_cast<double>(lo);
-    return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+    return xs[r.lo] * (1.0 - r.frac) + xs[r.hi] * r.frac;
 }
 
 } // namespace
@@ -106,7 +125,25 @@ percentiles(std::vector<double> xs, const std::vector<double> &ps)
 {
     if (xs.empty())
         fatal("percentiles on empty sample set");
-    std::sort(xs.begin(), xs.end());
+    // Only the order statistics at each percentile's two interpolation
+    // ranks are read, so select those instead of sorting: nth_element
+    // per rank in ascending order, each pass over the suffix the
+    // previous one left. Same values as a full sort, in O(n) per rank.
+    std::vector<std::size_t> ranks;
+    for (double p : ps) {
+        const Rank r = rankOf(xs.size(), p);
+        ranks.push_back(r.lo);
+        ranks.push_back(r.hi);
+    }
+    std::sort(ranks.begin(), ranks.end());
+    auto from = xs.begin();
+    for (std::size_t r : ranks) {
+        const auto nth = xs.begin() + static_cast<std::ptrdiff_t>(r);
+        if (nth < from)
+            continue; // already placed by the previous selection
+        std::nth_element(from, nth, xs.end());
+        from = nth + 1;
+    }
     std::vector<double> out;
     out.reserve(ps.size());
     for (double p : ps)

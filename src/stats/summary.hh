@@ -57,9 +57,11 @@ class Summary
 double percentile(std::vector<double> xs, double p);
 
 /**
- * Several percentiles of one sample set, sorting the samples once
- * (percentile() re-copies and re-sorts per call; result code asking
- * for p50/p95/p99 of the same latency vector should use this).
+ * Several percentiles of one sample set, selecting only the order
+ * statistics they interpolate between (linear time per percentile,
+ * the same values a full sort gives; percentile() re-copies and
+ * re-sorts per call, so result code asking for p50/p95/p99 of the
+ * same latency vector should use this).
  * @param xs samples (not required to be sorted; copied internally).
  * @param ps percentiles, each in [0, 100], in any order.
  * @return one value per entry of @p ps, in the same order.

@@ -23,8 +23,11 @@
 #include "hw/catalog.hh"
 #include "json/parser.hh"
 #include "json/writer.hh"
+#include "obs/span.hh"
 #include "workload/memory.hh"
 #include "workload/model_config.hh"
+
+#include "golden.hh"
 
 using namespace skipsim;
 
@@ -454,6 +457,80 @@ TEST(ClusterSim, SimulateRejectsUnexpandedSweeps)
     cluster::ClusterSpec spec = smallSpec();
     spec.rates = {10.0, 20.0};
     EXPECT_THROW(cluster::simulateCluster(spec), FatalError);
+}
+
+namespace
+{
+
+/**
+ * Test-local traffic: waves of requests that share one arrival
+ * instant. Arrival events then collide on time, so the engine's
+ * equal-time rule alone decides the route order.
+ */
+class BurstProcess final : public serving::ArrivalProcess
+{
+  public:
+    const char *kind() const override { return "burst"; }
+
+    std::vector<serving::Arrival>
+    generate(double horizonNs, std::uint64_t) const override
+    {
+        std::vector<serving::Arrival> out;
+        for (int wave = 0; wave < 4; ++wave) {
+            const double t = horizonNs * 0.1 * wave;
+            for (int i = 0; i < 14 + 4 * wave; ++i) {
+                serving::Arrival arr;
+                arr.timeNs = t;
+                arr.session = (wave * 7 + i) % 5;
+                arr.cachedFrac = i % 3 == 0 ? 0.5 : 0.0;
+                out.push_back(arr);
+            }
+        }
+        return out;
+    }
+
+    double meanRatePerSec() const override { return 160.0; }
+    void validate() const override {}
+
+    json::Value
+    toJson() const override
+    {
+        json::Object doc;
+        doc.set("kind", "burst");
+        return json::Value(std::move(doc));
+    }
+};
+
+} // namespace
+
+/**
+ * Pins the report and span bytes of equal-timestamp arrival bursts
+ * (routing latency on, a crash landing on a burst instant, a bounded
+ * queue that rejects): requests arriving together must route in id
+ * order, however the engine posts their arrival events.
+ */
+TEST(ClusterSim, BurstArrivalsRouteInIdOrderGolden)
+{
+    cluster::ClusterSpec spec = smallSpec(3);
+    spec.traffic = std::make_shared<BurstProcess>();
+    spec.horizonSec = 0.5;
+    spec.genTokens = 4;
+    spec.dispatchUs = 5.0;
+    for (cluster::ReplicaSpec &rep : spec.replicas)
+        rep.maxActive = 4;
+    spec.replicas[1].maxQueue = 3;
+    cluster::FaultSpec crash;
+    crash.atSec = 0.1;
+    crash.replica = 2;
+    crash.kind = cluster::FaultKind::Crash;
+    spec.faults.push_back(crash);
+    spec.detectDelaySec = 0.02;
+
+    obs::SpanLog spans;
+    const std::string report =
+        reportText(cluster::simulateCluster(spec, nullptr, &spans));
+    golden::checkGolden("golden_burst_arrivals.json",
+                        report + "\n" + spans.toChromeText() + "\n");
 }
 
 // ---------------------------------------------------------------------

@@ -18,11 +18,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
+#include <array>
 #include <memory>
-#include <sstream>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/sweep.hh"
@@ -50,59 +50,14 @@
 #include "workload/builder.hh"
 #include "workload/model_config.hh"
 
-#ifndef SKIPSIM_TESTS_DATA_DIR
-#define SKIPSIM_TESTS_DATA_DIR "tests/data"
-#endif
+#include "golden.hh"
 
 using namespace skipsim;
+using skipsim::golden::checkGolden;
+using skipsim::golden::regoldRequested;
 
 namespace
 {
-
-std::string
-goldenPath(const std::string &name)
-{
-    return std::string(SKIPSIM_TESTS_DATA_DIR) + "/" + name;
-}
-
-bool
-regoldRequested()
-{
-    const char *env = std::getenv("SKIPSIM_REGOLD");
-    return env != nullptr && *env != '\0';
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return {};
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
-/** Compare @p produced against the golden file (or rewrite it). */
-void
-checkGolden(const std::string &name, const std::string &produced)
-{
-    const std::string path = goldenPath(name);
-    if (regoldRequested()) {
-        std::ofstream out(path, std::ios::binary);
-        ASSERT_TRUE(out.good()) << "cannot write " << path;
-        out << produced;
-        SUCCEED() << "regolded " << path;
-        return;
-    }
-    const std::string expected = readFile(path);
-    ASSERT_FALSE(expected.empty())
-        << "missing golden " << path
-        << " (record with SKIPSIM_REGOLD=1)";
-    // Byte-identical, not approximately equal: the refactored engines
-    // must reproduce the pre-port generative process exactly.
-    EXPECT_EQ(expected, produced) << "golden mismatch: " << name;
-}
 
 // ------------------------------------------------------------------ sim
 
@@ -496,6 +451,86 @@ TEST(CoreCalendarQueue, RandomizedDifferentialOracleMatchesHeap)
     }
     EXPECT_GT(resizes_seen, 0u)
         << "the oracle never exercised a calendar rebuild";
+}
+
+/**
+ * Keys and closures travel separately (EventKey in the heap or
+ * calendar, the closure in a slab slot), so a key-only oracle cannot
+ * see a slot mix-up. Here every closure records its push index and
+ * each pop must run the closure pushed with the popped key, against a
+ * sorted (time, priority, seq) oracle. Pops interleave pushes and the
+ * population swings, so freed slots are reused constantly; quantized
+ * times and two priorities make equal keys up to the serial common;
+ * every third closure is too large for std::function's inline
+ * buffer; a mid-run clear() empties the slab. Both queue kinds, with
+ * queue-stamped serials (schedule) and caller-assigned ones (push).
+ */
+TEST(CoreAnyQueue, SlabReuseDifferentialOracleRunsPushedClosure)
+{
+    using Entry = std::tuple<double, int, std::uint64_t, int>;
+    for (core::QueueKind kind :
+         {core::QueueKind::Heap, core::QueueKind::Calendar}) {
+        for (bool explicit_seq : {false, true}) {
+            core::AnyQueue queue(kind);
+            std::set<Entry> oracle; // (time, priority, seq, push index)
+            Rng rng(mixSeed(4242, explicit_seq ? 1 : 0));
+            std::uint64_t next_seq = explicit_seq ? 1000 : 0;
+            int pushes = 0;
+            int fired = -1;
+            double last_pop = 0.0;
+            std::size_t peak = 0;
+            for (int step = 0; step < 30000; ++step) {
+                if (step == 15000) {
+                    queue.clear();
+                    oracle.clear();
+                }
+                // Grow for 1500 steps, then drain for 1500.
+                const bool growing = (step / 1500) % 2 == 0;
+                const bool push = oracle.empty() ||
+                    rng.below(4) < (growing ? 3u : 1u);
+                if (push) {
+                    const double t =
+                        last_pop + 10.0 * double(rng.below(8));
+                    const int priority = int(rng.below(2));
+                    const int idx = pushes++;
+                    core::EventFn fn;
+                    if (idx % 3 == 0) {
+                        std::array<int, 8> payload{};
+                        payload[5] = idx;
+                        fn = [&fired, payload](double) {
+                            fired = payload[5];
+                        };
+                    } else {
+                        fn = [&fired, idx](double) { fired = idx; };
+                    }
+                    const std::uint64_t seq = next_seq;
+                    next_seq += explicit_seq ? 3 : 1;
+                    if (explicit_seq)
+                        queue.push(core::Event{t, priority, seq,
+                                               std::move(fn)});
+                    else
+                        queue.schedule(t, priority, std::move(fn));
+                    oracle.emplace(t, priority, seq, idx);
+                    peak = std::max(peak, oracle.size());
+                    continue;
+                }
+                const Entry want = *oracle.begin();
+                oracle.erase(oracle.begin());
+                ASSERT_EQ(queue.peek().seq, std::get<2>(want));
+                core::Event ev = queue.pop();
+                ASSERT_EQ(ev.timeNs, std::get<0>(want));
+                ASSERT_EQ(ev.priority, std::get<1>(want));
+                ASSERT_EQ(ev.seq, std::get<2>(want));
+                fired = -1;
+                ev.fn(ev.timeNs);
+                ASSERT_EQ(fired, std::get<3>(want))
+                    << "kind " << int(kind) << " step " << step;
+                ASSERT_EQ(queue.size(), oracle.size());
+                last_pop = ev.timeNs;
+            }
+            EXPECT_GT(peak, 100u) << "the population never swung";
+        }
+    }
 }
 
 TEST(CoreCalendarQueue, EmptyAccessorsPanicInsteadOfUb)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "stats/knee.hh"
 #include "stats/series.hh"
 #include "stats/summary.hh"
@@ -123,6 +124,27 @@ TEST(Percentiles, MatchesSingleCallPerEntry)
     ASSERT_EQ(batch.size(), ps.size());
     for (std::size_t i = 0; i < ps.size(); ++i)
         EXPECT_DOUBLE_EQ(batch[i], percentile(xs, ps[i]));
+}
+
+TEST(Percentiles, SelectionMatchesFullSortBitForBit)
+{
+    // percentiles() selects order statistics instead of sorting; every
+    // value must equal the sort-based percentile() exactly, including
+    // duplicate samples, repeated and colliding ranks, and n = 1, 2.
+    Rng rng(77);
+    const std::vector<double> ps{99.0, 50.0, 0.0, 95.0, 50.0, 100.0,
+                                 33.3, 99.9, 1.0, 75.0};
+    for (std::size_t n : {1u, 2u, 3u, 7u, 100u, 1001u, 40000u}) {
+        std::vector<double> xs(n);
+        for (double &x : xs)
+            x = rng.below(4) == 0 ? double(rng.below(20))
+                                  : rng.uniform(0.0, 1e6);
+        const std::vector<double> batch = percentiles(xs, ps);
+        ASSERT_EQ(batch.size(), ps.size());
+        for (std::size_t i = 0; i < ps.size(); ++i)
+            EXPECT_EQ(batch[i], percentile(xs, ps[i]))
+                << "n " << n << " p " << ps[i];
+    }
 }
 
 TEST(Percentiles, PreservesRequestOrderNotSortedOrder)
