@@ -1,6 +1,7 @@
 #!/bin/sh
-# Build the exec engine, discrete-event core, and correctness-subsystem
-# tests under ThreadSanitizer and run them.
+# Build the exec engine (exec::Pool is the project's only threaded
+# code), discrete-event core, and correctness-subsystem tests under
+# ThreadSanitizer and run them.
 # Equivalent to `cmake --preset tsan && cmake --build --preset tsan &&
 # ctest --preset tsan` on CMake >= 3.21; spelled out here so it also
 # works with the project's minimum CMake.
@@ -10,8 +11,7 @@ cd "$(dirname "$0")/.."
 cmake -B build-tsan -S . -DSKIPSIM_TSAN=ON
 cmake --build build-tsan -j --target test_exec --target test_cluster \
     --target test_obs --target test_core --target test_check \
-    --target test_scenario --target test_span --target test_shard \
-    --target test_concurrent --target skipctl
+    --target test_scenario --target test_span --target skipctl
 ctest --test-dir build-tsan -L "exec|core|check" --output-on-failure "$@"
 # A fuzz campaign fanned over 8 workers: every case re-runs its engine
 # on exec::Pool workers and byte-compares, so TSan sees the full

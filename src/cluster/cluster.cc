@@ -5,10 +5,10 @@
 #include <limits>
 #include <memory>
 
-#include "cluster/shard_plan.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/strutil.hh"
+#include "core/engine.hh"
 #include "core/resource.hh"
 #include "core/rng_stream.hh"
 #include "core/sharded_engine.hh"
@@ -125,14 +125,6 @@ ClusterSpec::validate() const
                             i));
     }
     kvTier.validate();
-    if (shards < 1)
-        fatal("ClusterSpec: shards must be >= 1");
-    if (static_cast<std::size_t>(shards) > replicas.size())
-        fatal(strprintf("ClusterSpec: shards (%d) cannot exceed the "
-                        "fleet's %zu replica(s)",
-                        shards, replicas.size()));
-    if (shardThreads < 1)
-        fatal("ClusterSpec: shardThreads must be >= 1");
     if (dispatchUs < 0.0)
         fatal("ClusterSpec: dispatchUs must be non-negative");
     if (disaggregated()) {
@@ -334,8 +326,6 @@ class Sim
           _streams(spec.seed),
           _router(spec.router, makeWeights(spec, costs)),
           _disagg(spec.disaggregated()), _kvOn(spec.kvTier.enabled()),
-          _plan(ShardPlan::build(spec)),
-          _engine(_plan.shards, engineOptions(_plan, spec)),
           _dispatchNs(spec.dispatchUs * 1e3), _obs(obs), _spans(spans)
     {
         if (_disagg) {
@@ -450,22 +440,11 @@ class Sim
             }
 
             serving::ReplicaEngine::Callbacks cb;
-            // Replica callbacks run inside parallel windows when the
-            // engine is threaded: writes to state owned by this
-            // replica (or keyed by request id) stay inline, while
-            // global effects — window accumulators, the router
-            // scoreboard, ordered span sealing/export — go through
-            // engine.defer(), which replays them in exact global event
-            // order at the window barrier (immediately in sequential
-            // mode). FP accumulation order in particular must match
-            // the sequential run for byte-identical reports.
             cb.onFirstToken = [this](std::size_t id, double ttft,
                                      double now) {
                 _requests[id].ttftNs = ttft;
-                _engine.defer([this, ttft] {
-                    _windowTtftNs += ttft;
-                    ++_windowTtftCount;
-                });
+                _windowTtftNs += ttft;
+                ++_windowTtftCount;
                 if (_spans != nullptr)
                     _spans->onFirstToken(id, now);
             };
@@ -480,26 +459,21 @@ class Sim
                     if (_spans != nullptr)
                         _spans->onHandoffStart(id, now);
                     ++rep.stats.handoffs;
-                    _engine.defer([this, r] { _router.onSettled(r); });
+                    _router.onSettled(r);
                     _requests[id].decodeReady = true;
-                    // The re-dispatch is a routing decision, so the
-                    // transfer-done event posts to the router's shard
-                    // (a cross-shard message from this replica).
+                    // The re-dispatch is a routing decision made once
+                    // the KV has crossed this replica's link.
                     double end = chargeLane(r, _kvPerSeqBytes, now);
-                    routerSched().at(end, eventPriority(EvKvXfer, id),
-                                     [this, id](double t) {
-                                         dispatch(id, t);
-                                     });
+                    _engine.at(end, eventPriority(EvKvXfer, id),
+                               [this, id](double t) { dispatch(id, t); });
                     return;
                 }
                 _requests[id].doneNs = now;
                 ++rep.stats.completed;
-                _engine.defer([this, r, id, now] {
-                    ++_windowCompleted;
-                    _router.onSettled(r);
-                    if (_spans != nullptr)
-                        _spans->onComplete(id, now);
-                });
+                ++_windowCompleted;
+                _router.onSettled(r);
+                if (_spans != nullptr)
+                    _spans->onComplete(id, now);
             };
             if (_spans != nullptr)
                 cb.onAdmitRequest = [this](std::size_t id, double now,
@@ -511,26 +485,16 @@ class Sim
                 cb.onIteration = [this, r](
                                      const serving::IterationInfo &info) {
                     if (_obs != nullptr) {
-                        // Captured by value: the IterationInfo
-                        // reference dies with the callback, but the
-                        // span append (global, ordered) is deferred.
                         const int batch = info.prefill
                             ? info.prefillBatch
                             : info.decodeBatch;
-                        std::string name =
-                            (info.prefill ? "prefill b="
-                                          : "decode b=") +
-                            std::to_string(batch);
-                        const std::int64_t begin =
-                            std::llround(info.beginNs);
-                        const std::int64_t dur = std::llround(
-                            info.endNs - info.beginNs);
-                        _engine.defer(
-                            [this, r, name = std::move(name), begin,
-                             dur] {
-                                _obs->span(name, static_cast<int>(r),
-                                           begin, dur);
-                            });
+                        _obs->span((info.prefill ? "prefill b="
+                                                 : "decode b=") +
+                                       std::to_string(batch),
+                                   static_cast<int>(r),
+                                   std::llround(info.beginNs),
+                                   std::llround(info.endNs -
+                                                info.beginNs));
                     }
                     if (_spans != nullptr && !info.prefill &&
                         info.decodeBatch > 0 &&
@@ -552,53 +516,18 @@ class Sim
                 return dur_ns;
             };
             rt.engine = std::make_unique<serving::ReplicaEngine>(
-                replicaSched(r), ec, std::move(cb));
+                _engine, ec, std::move(cb));
         }
     }
 
     ClusterResult run();
 
-    /** Synchronization counters of the finished run. */
-    const core::ShardStats &shardStats() const
-    {
-        return _engine.stats();
-    }
+    /** Events the finished run executed. */
+    std::uint64_t events() const { return _engine.processed(); }
 
   private:
     static std::vector<double> makeWeights(const ClusterSpec &spec,
                                            const CostCache &costs);
-
-    /** Engine execution options derived from plan + spec. */
-    static core::ShardedEngine::Options
-    engineOptions(const ShardPlan &plan, const ClusterSpec &spec)
-    {
-        core::ShardedEngine::Options opts;
-        opts.lookaheadNs = plan.lookaheadNs;
-        opts.threads = spec.shardThreads < 1
-            ? 1
-            : static_cast<std::size_t>(spec.shardThreads);
-        opts.safeCrossNs = plan.safeCrossNs;
-        return opts;
-    }
-
-    /** Scheduler replica @p r's events execute on. */
-    core::Scheduler &
-    replicaSched(std::size_t r)
-    {
-        return _engine.shard(_plan.homeShard[r]);
-    }
-
-    /** Scheduler router-side events (arrivals, routing decisions,
-     *  fault detection) execute on. Router handlers touch global
-     *  state (router scoreboard, backlog, other replicas), so their
-     *  events carry the unsafe tag: the threaded engine always runs
-     *  them sequentially at the global minimum, and their pending
-     *  heads bound every parallel window. */
-    core::Scheduler &
-    routerSched()
-    {
-        return _engine.shard(_plan.routerShard).unsafeScheduler();
-    }
 
     /** Post request @p id's arrival event (see onArrival). */
     void scheduleArrival(std::size_t id);
@@ -638,11 +567,8 @@ class Sim
     Router _router;
     bool _disagg = false; ///< any replica has a non-Mixed role
     bool _kvOn = false;   ///< spec.kvTier enables the two-tier store
-    /** Shard topology (replica homes, router shard, lookahead) and
-     *  the partitioned engine the whole run executes on. shards == 1
-     *  degenerates to the classic single-queue run, event for event. */
-    ShardPlan _plan;
-    core::ShardedEngine _engine;
+    /** The one engine every event of the run executes on. */
+    core::Engine _engine;
     double _dispatchNs = 0.0; ///< spec.dispatchUs, in ns
     /** Interconnect lanes and tier stores, one per replica; lanes are
      *  live (staging + handoff traffic) whenever tiering or
@@ -685,9 +611,8 @@ Sim::makeWeights(const ClusterSpec &spec, const CostCache &costs)
 void
 Sim::scheduleArrival(std::size_t id)
 {
-    routerSched().at(_requests[id].arrivalNs,
-                     eventPriority(EvArrival, id),
-                     [this, id](double now) { onArrival(id, now); });
+    _engine.at(_requests[id].arrivalNs, eventPriority(EvArrival, id),
+               [this, id](double now) { onArrival(id, now); });
 }
 
 void
@@ -754,16 +679,12 @@ Sim::dispatch(std::size_t id, double now)
             return;
         }
         if (_dispatchNs > 0.0) {
-            // Routing latency: the decision happens here on the
-            // router's shard, the request reaches its replica one
-            // explicit delivery event later — the cross-shard message
-            // the shard lookahead is derived from.
-            replicaSched(r).at(now + _dispatchNs,
-                               eventPriority(EvDeliver, id),
-                               [this, id = narrow(id),
-                                r = narrow(r)](double t) {
-                                   deliver(id, r, t);
-                               });
+            // Routing latency: the decision happens here, the request
+            // reaches its replica one explicit delivery event later.
+            _engine.at(now + _dispatchNs, eventPriority(EvDeliver, id),
+                       [this, id = narrow(id), r = narrow(r)](double t) {
+                           deliver(id, r, t);
+                       });
             return;
         }
         deliver(id, r, now);
@@ -788,7 +709,7 @@ Sim::deliver(std::size_t id, std::size_t r, double now)
         // transfer, so KV paging and handoffs on the same lane delay
         // it — the bandwidth-contention coupling.
         double end = chargeLane(r, _stageBytes, now);
-        replicaSched(r).at(
+        _engine.at(
             end, eventPriority(EvStage, id),
             [this, id = narrow(id), r = narrow(r)](double t) {
                 ReplicaRt &rep = _reps[r];
@@ -826,10 +747,10 @@ void
 Sim::startHandoffInto(std::size_t id, std::size_t r, double now)
 {
     double end = chargeLane(r, _kvPerSeqBytes, now);
-    replicaSched(r).at(end, eventPriority(EvKvXfer, id),
-                       [this, id = narrow(id), r = narrow(r)](double t) {
-                           onKvArrive(id, r, t);
-                       });
+    _engine.at(end, eventPriority(EvKvXfer, id),
+               [this, id = narrow(id), r = narrow(r)](double t) {
+                   onKvArrive(id, r, t);
+               });
 }
 
 void
@@ -949,11 +870,9 @@ Sim::onFault(std::size_t faultIdx, double tNs)
         rt.stranded.insert(rt.stranded.end(), rt.limbo.begin(),
                            rt.limbo.end());
         rt.limbo.clear();
-        routerSched().at(tNs + _spec.detectDelaySec * 1e9,
-                         eventPriority(EvDetect, faultIdx),
-                         [this, faultIdx](double t) {
-                             onDetect(faultIdx, t);
-                         });
+        _engine.at(tNs + _spec.detectDelaySec * 1e9,
+                   eventPriority(EvDetect, faultIdx),
+                   [this, faultIdx](double t) { onDetect(faultIdx, t); });
         return;
     }
     case FaultKind::Slowdown:
@@ -963,17 +882,12 @@ Sim::onFault(std::size_t faultIdx, double tNs)
         if (rt.crashed || rt.partitioned)
             return;
         rt.partitioned = true;
-        routerSched().at(tNs + _spec.detectDelaySec * 1e9,
-                         eventPriority(EvDetect, faultIdx),
-                         [this, faultIdx](double t) {
-                             onDetect(faultIdx, t);
-                         });
+        _engine.at(tNs + _spec.detectDelaySec * 1e9,
+                   eventPriority(EvDetect, faultIdx),
+                   [this, faultIdx](double t) { onDetect(faultIdx, t); });
         if (f.healSec >= 0.0)
-            routerSched().at(f.healSec * 1e9,
-                             eventPriority(EvHeal, faultIdx),
-                             [this, faultIdx](double t) {
-                                 onHeal(faultIdx, t);
-                             });
+            _engine.at(f.healSec * 1e9, eventPriority(EvHeal, faultIdx),
+                       [this, faultIdx](double t) { onHeal(faultIdx, t); });
         return;
     }
 }
@@ -1068,34 +982,20 @@ Sim::run()
         for (std::size_t id = 0; id < _requests.size(); ++id)
             _spans->onArrival(id, _requests[id].arrivalNs);
     }
-    // Arrivals and faults are router-side events; seeding them on the
-    // router's shard before the run never counts as mailbox traffic.
     // Only the first arrival is seeded: each arrival posts the next
     // one (onArrival), so one arrival is pending at any time and the
     // pending set does not grow with the horizon.
     if (!_requests.empty())
         scheduleArrival(0);
     for (std::size_t i = 0; i < _spec.faults.size(); ++i)
-        routerSched().at(_spec.faults[i].atSec * 1e9,
-                         eventPriority(EvFault, i),
-                         [this, i](double now) { onFault(i, now); });
+        _engine.at(_spec.faults[i].atSec * 1e9, eventPriority(EvFault, i),
+                   [this, i](double now) { onFault(i, now); });
 
     if (_obs != nullptr) {
         // Sample every probe boundary up to (and including) each
         // event's instant before applying it: boundary samples see the
         // state as of the boundary, never a partially applied event.
         _engine.onBeforeEvent([this](double tNs) { flushObs(tNs); });
-        // Boundary samples read global state, so a parallel window
-        // must never span one. The hook above has already flushed
-        // through its event's instant when this runs, making the
-        // ticker's next boundary the exact first constraint after it;
-        // boundaries past the sampling stop no longer matter.
-        _engine.setSyncPoint([this](double) {
-            const std::int64_t next = _ticker.nextNs();
-            return next > _obsStopNs
-                ? std::numeric_limits<double>::infinity()
-                : static_cast<double>(next);
-        });
     }
     _engine.run();
 
@@ -1307,7 +1207,7 @@ Sim::finishObs(const ClusterResult &result,
 ClusterResult
 simulateCluster(const ClusterSpec &spec, const CostCache &costs,
                 obs::Collector *obs, obs::SpanLog *spans,
-                core::ShardStats *shardStats)
+                core::ShardStats *stats)
 {
     spec.validate();
     if (!spec.rates.empty())
@@ -1315,18 +1215,18 @@ simulateCluster(const ClusterSpec &spec, const CostCache &costs,
               "first");
     Sim sim(spec, costs, obs, spans);
     ClusterResult result = sim.run();
-    if (shardStats != nullptr)
-        *shardStats = sim.shardStats();
+    if (stats != nullptr)
+        stats->events = sim.events();
     return result;
 }
 
 ClusterResult
 simulateCluster(const ClusterSpec &spec, obs::Collector *obs,
-                obs::SpanLog *spans, core::ShardStats *shardStats)
+                obs::SpanLog *spans, core::ShardStats *stats)
 {
     CostCache costs;
     costs.build(spec);
-    return simulateCluster(spec, costs, obs, spans, shardStats);
+    return simulateCluster(spec, costs, obs, spans, stats);
 }
 
 json::Value

@@ -213,29 +213,9 @@ struct ClusterSpec
     kv::TierSpec kvTier;
 
     /**
-     * Execution topology: engine shards the replicas are partitioned
-     * across (round-robin), 1..replicas. Purely an execution knob —
-     * the report is byte-identical at any value — so the JSON serde
-     * accepts "shards" but never emits it (a saved spec or report
-     * carries no trace of how it was executed).
-     */
-    int shards = 1;
-
-    /**
-     * Worker threads advancing the shards in parallel windows
-     * (core::ShardedEngine::Options::threads); 1 keeps the classic
-     * sequential merge loop. Like `shards`, a pure execution knob —
-     * byte-identical reports at any value — accepted but never
-     * emitted by the JSON serde.
-     */
-    int shardThreads = 1;
-
-    /**
      * Router dispatch latency, microseconds: a routed request reaches
-     * its replica this much later, as an explicit delivery event on
-     * the replica's shard. 0 (the default) keeps the historical
-     * inline hand-off — and forces the shard lookahead to 0, since an
-     * inline dispatch affects another shard at the current instant.
+     * its replica this much later, as an explicit delivery event.
+     * 0 (the default) keeps the historical inline hand-off.
      */
     double dispatchUs = 0.0;
 
@@ -462,24 +442,22 @@ class CostCache
  * sampling instants are pure functions of the interval, the obs JSON
  * honours the same determinism contract as the report itself.
  *
- * When @p shardStats is non-null it receives the sharded engine's
- * synchronization counters (windows, cross-shard messages, lookahead)
- * for the run — diagnostics only, deliberately kept out of the result
- * so the report stays byte-identical at any ClusterSpec::shards.
+ * When @p stats is non-null it receives the run's engine counters
+ * (events executed) — diagnostics only, kept out of the result.
  *
  * @throws skipsim::FatalError on invalid specs.
  */
 ClusterResult simulateCluster(const ClusterSpec &spec,
                               obs::Collector *obs = nullptr,
                               obs::SpanLog *spans = nullptr,
-                              core::ShardStats *shardStats = nullptr);
+                              core::ShardStats *stats = nullptr);
 
 /** Simulate with a pre-built cost cache (see CostCache). */
 ClusterResult simulateCluster(const ClusterSpec &spec,
                               const CostCache &costs,
                               obs::Collector *obs = nullptr,
                               obs::SpanLog *spans = nullptr,
-                              core::ShardStats *shardStats = nullptr);
+                              core::ShardStats *stats = nullptr);
 
 } // namespace skipsim::cluster
 

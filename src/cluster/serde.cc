@@ -131,10 +131,6 @@ ClusterSpec::toJson() const
             axis.emplace_back(rate);
         doc.set("rates", json::Value(std::move(axis)));
     }
-    // "shards" and "shard-threads" are deliberately never emitted:
-    // they are execution topology, not scenario identity, and reports
-    // embedding the spec must stay byte-identical at any shard or
-    // thread count.
     if (dispatchUs > 0.0)
         doc.set("dispatch-us", dispatchUs);
     if (stagedDispatch)
@@ -201,11 +197,13 @@ ClusterSpec::fromJson(const json::Value &value)
         for (const json::Value &rate : obj.at("rates").asArray())
             spec.rates.push_back(rate.asDouble());
     }
-    if (obj.has("shards"))
-        spec.shards = static_cast<int>(obj.at("shards").asInt());
-    if (obj.has("shard-threads"))
-        spec.shardThreads =
-            static_cast<int>(obj.at("shard-threads").asInt());
+    for (const char *removed : {"shards", "shard-threads"}) {
+        if (obj.has(removed))
+            fatal(strprintf("ClusterSpec: '%s' was removed (every "
+                            "cluster runs on one sequential engine); "
+                            "drop the key",
+                            removed));
+    }
     if (obj.has("dispatch-us"))
         spec.dispatchUs = obj.at("dispatch-us").asDouble();
     if (obj.has("staged-dispatch"))

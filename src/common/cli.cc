@@ -1,7 +1,6 @@
 #include "common/cli.hh"
 
 #include <cstdlib>
-#include <thread>
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
@@ -109,30 +108,14 @@ parseRunFlags(const CliArgs &args, int defaultJobs,
 {
     RunFlags flags;
     flags.jobs = static_cast<int>(args.getInt("jobs", defaultJobs));
-    flags.shards = static_cast<int>(args.getInt("shards", 0));
-    if (args.has("shards") && flags.shards <= 0)
-        fatal("option --shards expects a positive shard count, got " +
-              args.getString("shards"));
-    flags.shardThreads =
-        static_cast<int>(args.getInt("shard-threads", 0));
-    if (args.has("shard-threads")) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        const int cap = hw == 0 ? 1 : static_cast<int>(hw);
-        if (flags.shardThreads < 1)
-            fatal("option --shard-threads expects a positive thread "
-                  "count, got " +
-                  args.getString("shard-threads"));
-        if (flags.shardThreads > cap)
-            fatal(strprintf("option --shard-threads expects at most "
-                            "the machine's %d hardware thread(s), "
-                            "got %d",
-                            cap, flags.shardThreads));
+    // Removed options fail loudly rather than being ignored: a run
+    // that asked for them would otherwise silently mean something else.
+    for (const char *removed : {"shards", "shard-threads", "queue"}) {
+        if (args.has(removed))
+            fatal(strprintf("option --%s was removed (every cluster "
+                            "runs on one sequential engine)",
+                            removed));
     }
-    flags.queue = args.getString("queue");
-    if (!flags.queue.empty() && flags.queue != "heap" &&
-        flags.queue != "calendar")
-        fatal("option --queue expects 'heap' or 'calendar', got '" +
-              flags.queue + "'");
     flags.seed = static_cast<std::uint64_t>(
         args.getDouble("seed", 42.0));
     flags.quick = args.getBool("quick");

@@ -72,21 +72,6 @@ struct RunFlags
     /** Worker threads (--jobs); semantics of 0 are caller-defined. */
     int jobs = 1;
 
-    /** Engine shards per cluster run (--shards); 0 means "unset, use
-     *  the spec's ClusterSpec::shards". Composes with --jobs: shards
-     *  partition one run, the pool fans across runs. */
-    int shards = 0;
-
-    /** Worker threads advancing one cluster run's shards in parallel
-     *  (--shard-threads); 0 means "unset, use the spec's
-     *  ClusterSpec::shardThreads". Bounded by the machine's hardware
-     *  concurrency at parse time. */
-    int shardThreads = 0;
-
-    /** Engine pending-set implementation (--queue): "heap" or
-     *  "calendar"; empty means "unset, keep the process default". */
-    std::string queue;
-
     std::uint64_t seed = 42;
 
     /** CI smoke mode (--quick): shrink grids/horizons, same code path. */

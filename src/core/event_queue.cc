@@ -17,6 +17,18 @@ namespace
  *  one, and a node's children sit next to each other in memory. */
 constexpr std::size_t kArity = 4;
 
+/** @return true when @p a executes before @p b under the project-wide
+ *  (time, priority, seq) total order. */
+bool
+executesBefore(const EventKey &a, const EventKey &b)
+{
+    if (a.timeNs != b.timeNs)
+        return a.timeNs < b.timeNs;
+    if (a.priority != b.priority)
+        return a.priority < b.priority;
+    return a.seq < b.seq;
+}
+
 } // namespace
 
 std::uint32_t
@@ -35,12 +47,12 @@ ClosureSlab::put(EventFn &&fn)
 }
 
 void
-EventQueue::insert(double timeNs, int priority, std::uint64_t seq,
-                   EventFn &&fn)
+EventQueue::schedule(double timeNs, int priority, EventFn fn)
 {
     if (std::isnan(timeNs))
         panic("core::EventQueue: NaN event time");
-    const EventKey key{timeNs, priority, _slab.put(std::move(fn)), seq};
+    const EventKey key{timeNs, priority, _slab.put(std::move(fn)),
+                       _nextSeq++};
     // Sift up: move the hole from the new leaf towards the root.
     std::size_t i = _heap.size();
     _heap.push_back(key);
@@ -52,18 +64,6 @@ EventQueue::insert(double timeNs, int priority, std::uint64_t seq,
         i = parent;
     }
     _heap[i] = key;
-}
-
-void
-EventQueue::schedule(double timeNs, int priority, EventFn fn)
-{
-    insert(timeNs, priority, _nextSeq++, std::move(fn));
-}
-
-void
-EventQueue::push(Event &&ev)
-{
-    insert(ev.timeNs, ev.priority, ev.seq, std::move(ev.fn));
 }
 
 const EventKey &

@@ -55,18 +55,6 @@ static_assert(std::is_trivially_copyable_v<EventKey> &&
                   sizeof(EventKey) == 24,
               "EventKey must stay a compact plain key");
 
-/** @return true when @p a executes before @p b under the project-wide
- *  (time, priority, seq) total order. */
-inline bool
-executesBefore(const EventKey &a, const EventKey &b)
-{
-    if (a.timeNs != b.timeNs)
-        return a.timeNs < b.timeNs;
-    if (a.priority != b.priority)
-        return a.priority < b.priority;
-    return a.seq < b.seq;
-}
-
 /** Closures of pending events, indexed by EventKey::slot. */
 class ClosureSlab
 {
@@ -102,15 +90,6 @@ class EventQueue
     /** Schedule @p fn at @p timeNs. Events never execute here. */
     void schedule(double timeNs, int priority, EventFn fn);
 
-    /**
-     * Insert a fully-formed event, keeping its pre-assigned @p seq
-     * rather than stamping the queue's own push serial. ShardedEngine
-     * uses this to merge mailbox events into per-shard queues while a
-     * single global serial keeps the cross-shard (time, priority, seq)
-     * order identical to the one-queue run.
-     */
-    void push(Event &&ev);
-
     bool empty() const { return _heap.empty(); }
     std::size_t size() const { return _heap.size(); }
 
@@ -137,9 +116,6 @@ class EventQueue
     }
 
   private:
-    void insert(double timeNs, int priority, std::uint64_t seq,
-                EventFn &&fn);
-
     std::vector<EventKey> _heap;
     ClosureSlab _slab;
     std::uint64_t _nextSeq = 0;

@@ -2,31 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdint>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "common/logging.hh"
-#include "core/epoch_reclaimer.hh"
-#include "core/worksteal_deque.hh"
 
 namespace skipsim::exec
 {
-
-namespace
-{
-
-/** A contiguous slice [begin, end) of the index range. */
-struct Chunk
-{
-    std::size_t begin = 0;
-    std::size_t end = 0;
-};
-
-} // namespace
 
 Pool::Pool(int workers)
 {
@@ -42,90 +26,27 @@ Pool::hardwareWorkers()
     return n == 0 ? 1 : static_cast<int>(n);
 }
 
-Pool::RunStats
-Pool::lastRunStats() const
-{
-    return _lastStats;
-}
-
 void
 Pool::run(std::size_t n, const std::function<void(std::size_t)> &fn) const
 {
-    _lastStats = RunStats{};
     if (n == 0)
         return;
 
     if (_workers == 1 || n == 1) {
-        _lastStats.chunks = n;
         for (std::size_t i = 0; i < n; ++i)
             fn(i);
         return;
     }
 
-    // Several chunks per worker so a worker that drew only cheap
-    // points can steal leftovers from one stuck on expensive ones.
-    std::size_t workers = static_cast<std::size_t>(_workers);
-    std::size_t target_chunks = std::min(n, workers * 4);
-    std::size_t chunk_size = (n + target_chunks - 1) / target_chunks;
-
-    // The chunk table is immutable once built; the Chase–Lev deques
-    // carry 8-byte indices into it. Each worker owns one deque,
-    // seeded round-robin before the threads spawn (thread creation
-    // transfers deque ownership with the necessary happens-before
-    // edge); thieves take the oldest — largest remaining — chunk
-    // under an epoch guard, which protects rings the owner retired
-    // while growing.
-    std::vector<Chunk> chunks;
-    for (std::size_t begin = 0; begin < n; begin += chunk_size)
-        chunks.push_back(Chunk{begin, std::min(begin + chunk_size, n)});
-
-    skipsim::core::EpochReclaimer reclaimer(workers);
-    std::vector<
-        std::unique_ptr<skipsim::core::WorkStealDeque<std::uint64_t>>>
-        deques;
-    deques.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w)
-        deques.push_back(
-            std::make_unique<
-                skipsim::core::WorkStealDeque<std::uint64_t>>(
-                reclaimer));
-    for (std::size_t c = 0; c < chunks.size(); ++c)
-        deques[c % workers]->push(static_cast<std::uint64_t>(c));
-
-    std::atomic<std::size_t> steals{0};
+    std::atomic<std::size_t> next{0};
     std::mutex error_mutex;
     std::exception_ptr first_error;
 
-    auto worker_main = [&](std::size_t self) {
-        auto execute = [&](const Chunk &chunk) {
-            for (std::size_t i = chunk.begin; i < chunk.end; ++i)
-                fn(i);
-        };
+    auto worker_main = [&] {
         try {
-            std::uint64_t c = 0;
-            while (deques[self]->tryPop(c))
-                execute(chunks[static_cast<std::size_t>(c)]);
-            // Own deque drained: steal the oldest chunk from the
-            // first victim that still has work, round-robin from our
-            // right-hand neighbour.
-            for (;;) {
-                bool stole = false;
-                {
-                    skipsim::core::EpochReclaimer::Guard guard(
-                        reclaimer, self);
-                    for (std::size_t off = 1; off < workers; ++off) {
-                        std::size_t victim = (self + off) % workers;
-                        if (deques[victim]->steal(c)) {
-                            stole = true;
-                            break;
-                        }
-                    }
-                }
-                if (!stole)
-                    return;
-                steals.fetch_add(1, std::memory_order_relaxed);
-                execute(chunks[static_cast<std::size_t>(c)]);
-            }
+            for (std::size_t i = next.fetch_add(1); i < n;
+                 i = next.fetch_add(1))
+                fn(i);
         } catch (...) {
             std::lock_guard<std::mutex> lock(error_mutex);
             if (!first_error)
@@ -133,15 +54,14 @@ Pool::run(std::size_t n, const std::function<void(std::size_t)> &fn) const
         }
     };
 
+    const std::size_t workers =
+        std::min(static_cast<std::size_t>(_workers), n);
     std::vector<std::thread> threads;
     threads.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w)
-        threads.emplace_back(worker_main, w);
+        threads.emplace_back(worker_main);
     for (auto &thread : threads)
         thread.join();
-
-    _lastStats.chunks = chunks.size();
-    _lastStats.steals = steals.load();
 
     if (first_error)
         std::rethrow_exception(first_error);

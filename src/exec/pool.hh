@@ -1,13 +1,13 @@
 /**
  * @file
- * Fixed-size worker pool with chunked work-stealing over an index
- * range. Built for experiment fan-out: every unit of work is one
- * independent grid point that writes only its own result slot, so the
- * pool needs no result synchronization beyond the final join. Each
- * worker owns a deque of index chunks; it pops from the back of its
- * own deque (cache-friendly LIFO) and steals from the front of a
- * victim's deque (FIFO, taking the oldest — largest remaining — work)
- * when it runs dry, which keeps skewed per-point costs balanced.
+ * Fixed-size worker pool over an index range. Built for experiment
+ * fan-out: every unit of work is one independent grid point that
+ * writes only its own result slot, so the pool needs no result
+ * synchronization beyond the final join. Workers claim the next
+ * unclaimed index from one shared atomic counter; grid points are
+ * coarse (each simulates a forward pass or a whole cluster run), so
+ * one fetch-add per point is noise and skewed costs balance without
+ * any stealing protocol.
  */
 
 #ifndef SKIPSIM_EXEC_POOL_HH
@@ -23,8 +23,7 @@ namespace skipsim::exec
  * A fixed-worker-count experiment pool. Stateless between run() calls:
  * threads are spawned per run, so the pool itself is trivially
  * copyable and has no shutdown protocol. For experiment workloads
- * (each index simulates a full forward pass or sweep) the per-run
- * spawn cost is noise.
+ * the per-run spawn cost is noise.
  */
 class Pool
 {
@@ -43,10 +42,8 @@ class Pool
 
     /**
      * Execute fn(i) for every i in [0, n), fanned across the workers.
-     * Blocks until all indices complete. With one worker the indices
-     * run inline on the calling thread in order. The index space is
-     * split into chunks (several per worker) that workers steal from
-     * each other, so heavily skewed per-index costs still balance.
+     * Blocks until all indices complete. With one worker (or one
+     * index) the indices run inline on the calling thread in order.
      *
      * Exceptions thrown by fn are captured; the first one (in worker
      * encounter order) is rethrown on the calling thread after every
@@ -54,19 +51,8 @@ class Pool
      */
     void run(std::size_t n, const std::function<void(std::size_t)> &fn) const;
 
-    /** Work-stealing counters of the most recent run() (test hook). */
-    struct RunStats
-    {
-        std::size_t chunks = 0; ///< chunks the index range was split into
-        std::size_t steals = 0; ///< chunks executed by a non-owner worker
-    };
-
-    /** Stats of the last completed run() on this pool object. */
-    RunStats lastRunStats() const;
-
   private:
     int _workers = 1;
-    mutable RunStats _lastStats;
 };
 
 } // namespace skipsim::exec

@@ -281,13 +281,11 @@ buildDatacenter(const json::Object &params)
     // fleet explicitly (the ext_datacenter bench passes 1024).
     if (!params.has("replicas"))
         spec.replicas.assign(8, spec.replicas.front());
-    // The router-to-replica dispatch hop is explicit here — it is the
-    // cross-shard latency the sharded engine turns into lookahead, so
-    // this scenario exercises the windowed sync protocol for real.
+    // The router-to-replica dispatch hop is explicit here: every
+    // routed request reaches its replica one delivery event later.
     spec.dispatchUs = num(params, "dispatch-us", 5.0);
     if (params.has("staged-dispatch"))
         spec.stagedDispatch = params.at("staged-dispatch").asBool();
-    spec.shards = integer(params, "shards", 1);
     // Offered load scales with the fleet so the per-replica operating
     // point stays fixed at any size.
     double per_replica = num(params, "rate-per-replica", 30.0);
@@ -419,8 +417,8 @@ registerBuiltinScenarios()
     registerScenario(
         {"datacenter",
          "fleet-scale serving (8 replicas by default) with an "
-         "explicit router-to-replica dispatch hop, the lookahead "
-         "source for the sharded engine; load scales with the fleet",
+         "explicit router-to-replica dispatch hop; load scales with "
+         "the fleet",
          buildDatacenter,
          withBase(
              {{"rate-per-replica",
@@ -429,10 +427,7 @@ registerBuiltinScenarios()
                "router-to-replica dispatch latency, us (default 5)"},
               {"staged-dispatch",
                "gate enqueue on staging the prompt over the KV lane "
-               "(default false)"},
-              {"shards",
-               "engine shards; reports are byte-identical at any "
-               "count (default 1)"}})});
+               "(default false)"}})});
 }
 
 } // namespace skipsim::scenario

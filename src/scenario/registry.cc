@@ -113,11 +113,56 @@ scenarioByName(const std::string &name)
                     joinedNamesLocked().c_str()));
 }
 
+namespace
+{
+
+/**
+ * Reject any key of @p params that @p scenario does not list, naming
+ * the nearest listed key: a typo'd key must not silently run the
+ * default. "schema_version" is the spec-document envelope, accepted
+ * everywhere. The raw "cluster" pass-through lists no keys (its root
+ * is a ClusterSpec document) and is not checked here.
+ */
+void
+checkParamKeys(const Scenario &scenario, const json::Object &params)
+{
+    if (scenario.name == "cluster")
+        return;
+    for (const std::string &key : params.keys()) {
+        if (key == "schema_version")
+            continue;
+        std::string nearest;
+        std::size_t best = std::string::npos;
+        for (const ScenarioParam &param : scenario.params) {
+            if (param.name == key) {
+                best = 0;
+                break;
+            }
+            std::size_t d = editDistance(key, param.name);
+            if (d < best) {
+                best = d;
+                nearest = param.name;
+            }
+        }
+        if (best == 0)
+            continue;
+        if (nearest.empty())
+            fatal(strprintf("unknown parameter '%s' (the scenario "
+                            "takes none)",
+                            key.c_str()));
+        fatal(strprintf("unknown parameter '%s'; did you mean '%s'?",
+                        key.c_str(), nearest.c_str()));
+    }
+}
+
+} // namespace
+
 cluster::ClusterSpec
 buildScenario(const std::string &name, const json::Object &params)
 {
     const Scenario &scenario = scenarioByName(name);
     try {
+        checkParamKeys(scenario, params);
         return scenario.build(params);
     } catch (const FatalError &err) {
         fatal(strprintf("scenario '%s': %s", name.c_str(), err.what()));

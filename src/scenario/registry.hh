@@ -63,8 +63,8 @@ struct Scenario
         build;
 
     /**
-     * Accepted parameters (`skipctl scenarios --json`). Documentation
-     * only — builders stay the behavioral source of truth.
+     * Accepted parameters (`skipctl scenarios --json`). buildScenario
+     * rejects any other key, so this list is also the contract.
      */
     std::vector<ScenarioParam> params;
 };
@@ -88,8 +88,11 @@ const Scenario &scenarioByName(const std::string &name);
 
 /**
  * Build scenario @p name's ClusterSpec from @p params.
- * @throws skipsim::FatalError for unknown names (see scenarioByName)
- *         or builder failures — a builder's error is re-raised with
+ * @throws skipsim::FatalError for unknown names (see scenarioByName),
+ *         a parameter key the scenario does not list (the message
+ *         suggests the nearest listed key; the raw "cluster"
+ *         pass-through is exempt), or builder failures — a builder's
+ *         error is re-raised with
  *         the scenario name prefixed so `skipctl run` failures say
  *         which scenario rejected its spec.
  */

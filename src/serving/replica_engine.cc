@@ -8,9 +8,9 @@
 namespace skipsim::serving
 {
 
-ReplicaEngine::ReplicaEngine(core::Scheduler &scheduler,
+ReplicaEngine::ReplicaEngine(core::Engine &engine,
                              const Config &config, Callbacks callbacks)
-    : core::Process(scheduler), _cfg(config), _cb(std::move(callbacks))
+    : core::Process(engine), _cfg(config), _cb(std::move(callbacks))
 {
     if (_cfg.cost == nullptr)
         fatal("ReplicaEngine: cost model is required");

@@ -194,9 +194,9 @@ class ReplicaEngine : private core::Process
         std::function<double(double baseNs)> scaleDuration;
     };
 
-    /** @p scheduler is the engine (or shard) this replica's
-     *  iteration-end events run on. */
-    ReplicaEngine(core::Scheduler &scheduler, const Config &config,
+    /** @p engine is the engine this replica's iteration-end events
+     *  run on. */
+    ReplicaEngine(core::Engine &engine, const Config &config,
                   Callbacks callbacks);
 
     /**

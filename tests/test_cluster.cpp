@@ -2,9 +2,11 @@
  * @file
  * Cluster simulator tests: router policy behavior, spec validation and
  * JSON round trips, the determinism contract (byte-identical reports
- * at any worker count), KV-cache admission control, and the
+ * at any worker count, including the report/obs/span matrix), KV-cache
+ * admission control, staged-dispatch lane contention, the
  * fault-injection envelope (a crashed replica degrades the tail but
- * the router re-routes and most of the work still completes).
+ * the router re-routes and most of the work still completes), and the
+ * removed execution options failing loudly.
  */
 
 #include <gtest/gtest.h>
@@ -12,17 +14,24 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "cluster/cluster.hh"
 #include "cluster/router.hh"
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "core/sharded_engine.hh"
 #include "exec/pool.hh"
 #include "exec/registry.hh"
 #include "exec/run_spec.hh"
 #include "hw/catalog.hh"
 #include "json/parser.hh"
 #include "json/writer.hh"
+#include "kv/tier.hh"
+#include "obs/collector.hh"
 #include "obs/span.hh"
 #include "workload/memory.hh"
 #include "workload/model_config.hh"
@@ -371,6 +380,10 @@ TEST(ClusterSpec, ValidateRejectsInconsistentSpecs)
     fault.replica = 99;
     bad_fault.faults.push_back(fault);
     EXPECT_THROW(bad_fault.validate(), FatalError);
+
+    cluster::ClusterSpec bad_dispatch = smallSpec();
+    bad_dispatch.dispatchUs = -1.0;
+    EXPECT_THROW(bad_dispatch.validate(), FatalError);
 }
 
 TEST(ClusterSpec, JsonRoundTripIsByteIdentical)
@@ -389,6 +402,25 @@ TEST(ClusterSpec, JsonRoundTripIsByteIdentical)
     cluster::ClusterSpec back =
         cluster::ClusterSpec::fromJson(spec.toJson());
     EXPECT_EQ(json::write(spec.toJson()), json::write(back.toJson()));
+}
+
+TEST(ClusterSpec, DispatchKnobsRoundTripAndStaySilentByDefault)
+{
+    cluster::ClusterSpec spec = smallSpec();
+    spec.dispatchUs = 5.0;
+    spec.stagedDispatch = true;
+    std::string text = json::write(spec.toJson());
+    EXPECT_NE(text.find("dispatch-us"), std::string::npos);
+    EXPECT_NE(text.find("staged-dispatch"), std::string::npos);
+    cluster::ClusterSpec back =
+        cluster::ClusterSpec::fromJson(spec.toJson());
+    EXPECT_DOUBLE_EQ(back.dispatchUs, 5.0);
+    EXPECT_TRUE(back.stagedDispatch);
+
+    // Defaults stay silent: a default spec mentions neither knob.
+    std::string plain = json::write(smallSpec().toJson());
+    EXPECT_EQ(plain.find("dispatch-us"), std::string::npos);
+    EXPECT_EQ(plain.find("staged-dispatch"), std::string::npos);
 }
 
 TEST(ClusterSpec, ReplicaCountFieldStampsIdenticalReplicas)
@@ -730,4 +762,250 @@ TEST(ClusterAnalysis, CostCacheRefusesMismatchedSpecs)
     other.promptLen = 256;
     EXPECT_THROW(costs.build(other), FatalError);
     EXPECT_THROW(costs.get("not-a-platform"), FatalError);
+}
+
+// ---------------------------------------------------------------------
+// Jobs matrix: report, obs and span bytes at any worker count
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * The adversarial spec for the jobs matrix: a disaggregated
+ * prefill/decode fleet on a PCIe platform (staging lanes live), an
+ * explicit dispatch hop, staged dispatch, a mid-run crash, and a
+ * two-point rate sweep so --jobs has something to fan across.
+ */
+cluster::ClusterSpec
+matrixSpec()
+{
+    cluster::ClusterSpec spec;
+    spec.model = workload::gpt2();
+    cluster::ReplicaSpec replica;
+    replica.platform = hw::platforms::intelH100();
+    replica.maxActive = 8;
+    replica.role = cluster::ReplicaRole::Prefill;
+    spec.replicas.push_back(replica);
+    replica.role = cluster::ReplicaRole::Decode;
+    spec.replicas.push_back(replica);
+    spec.replicas.push_back(replica);
+    spec.replicas.push_back(replica);
+    spec.rates = {30.0, 60.0};
+    spec.arrivalRatePerSec = 30.0;
+    spec.horizonSec = 3.0;
+    spec.promptLen = 64;
+    spec.genTokens = 8;
+    spec.sessions = 32;
+    spec.dispatchUs = 5.0;
+    spec.stagedDispatch = true;
+    spec.seed = 7;
+    cluster::FaultSpec fault;
+    fault.atSec = 1.5;
+    fault.replica = 2;
+    fault.kind = cluster::FaultKind::Crash;
+    spec.faults.push_back(fault);
+    return spec;
+}
+
+} // namespace
+
+TEST(ClusterMatrix, ReportObsSpansIdenticalAcrossJobs)
+{
+    cluster::ClusterSpec spec = matrixSpec();
+    cluster::CostCache costs;
+    costs.build(spec);
+
+    std::string reference;
+    for (int jobs : {1, 8}) {
+        std::size_t n = spec.scenarioCount();
+        ASSERT_EQ(n, 2u);
+        std::vector<cluster::ClusterResult> results(n);
+        std::vector<std::unique_ptr<obs::Collector>> collectors(n);
+        std::vector<std::unique_ptr<obs::SpanLog>> spans(n);
+        std::vector<core::ShardStats> stats(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            collectors[i] = std::make_unique<obs::Collector>(50.0);
+            spans[i] = std::make_unique<obs::SpanLog>();
+        }
+        exec::Pool pool(jobs);
+        pool.run(n, [&](std::size_t i) {
+            results[i] = cluster::simulateCluster(
+                spec.scenarioAt(i), costs, collectors[i].get(),
+                spans[i].get(), &stats[i]);
+        });
+        std::string doc;
+        for (std::size_t i = 0; i < n; ++i) {
+            doc += json::write(results[i].toJson());
+            doc += json::write(collectors[i]->toJson());
+            doc += spans[i]->toChromeText();
+            EXPECT_GT(stats[i].events, 0u);
+        }
+        if (reference.empty())
+            reference = doc;
+        EXPECT_EQ(doc, reference) << "output diverged at jobs=" << jobs;
+    }
+    ASSERT_FALSE(reference.empty());
+}
+
+// ---------------------------------------------------------------------
+// Staged-dispatch bandwidth contention
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * KV-pressured disaggregated PCIe pair with a deliberately slow link:
+ * every finished prefill pages its sequence's KV out over the prefill
+ * replica's lane (the handoff into decode), and the squeezed HBM adds
+ * eviction page-outs on top — so a staged dispatch (admission gated on
+ * the prompt's staging transfer) queues behind that KV traffic.
+ *
+ * @p gen_tokens is the traffic dial: at 1 there is no decode phase,
+ * hence no handoffs and no KV pressure — the lane carries only the
+ * staging transfers themselves, while the prefill-side request flow
+ * (arrivals, routing, prefill compute) is byte-for-byte the same as
+ * the heavy run.
+ */
+cluster::ClusterSpec
+contentionSpec(int gen_tokens, bool staged)
+{
+    cluster::ClusterSpec spec;
+    spec.model = workload::gpt2();
+    cluster::ReplicaSpec replica;
+    replica.platform = hw::platforms::intelH100();
+    replica.platform.gpu.hbmCapacityGiB = 0.30;
+    replica.platform.link.bwGBs = 0.5; // slow lane: contention bites
+    replica.maxActive = 8;
+    cluster::ReplicaSpec prefill = replica;
+    prefill.role = cluster::ReplicaRole::Prefill;
+    cluster::ReplicaSpec decode = replica;
+    decode.role = cluster::ReplicaRole::Decode;
+    spec.replicas = {prefill, decode};
+    spec.arrivalRatePerSec = 25.0;
+    spec.horizonSec = 8.0;
+    spec.promptLen = 256; // big KV footprint: ~10 MB/seq page-outs
+    spec.genTokens = gen_tokens;
+    spec.sessions = 64;
+    spec.seed = 7;
+    spec.stagedDispatch = staged;
+    spec.kvTier.policy = kv::OffloadPolicy::LruBySession;
+    spec.kvTier.hostCapacityGiB = 1.0;
+    spec.kvTier.watermarkFrac = 0.9;
+    return spec;
+}
+
+TEST(ShardContention, StagedDispatchQueuesBehindKvOffloadTraffic)
+{
+    cluster::CostCache costs;
+    costs.build(contentionSpec(16, false));
+
+    auto run = [&](int gen_tokens, bool staged) {
+        return cluster::simulateCluster(
+            contentionSpec(gen_tokens, staged), costs);
+    };
+    cluster::ClusterResult heavy_off = run(16, false);
+    cluster::ClusterResult heavy_on = run(16, true);
+    cluster::ClusterResult light_off = run(1, false);
+    cluster::ClusterResult light_on = run(1, true);
+
+    ASSERT_GT(heavy_on.kv.offloads, 0u)
+        << "spec no longer generates offload traffic";
+    // The two unstaged controls must agree at the median: decode-side
+    // traffic does not touch prefill compute, so any staged-mode gap
+    // between heavy and light is lane contention, not workload drift.
+    EXPECT_DOUBLE_EQ(heavy_off.p50TtftNs, light_off.p50TtftNs);
+
+    // Gating admission on the staging transfer costs exactly the
+    // uncontended transfer time when the lane is idle (the light
+    // delta); under heavy KV traffic the median dispatch must queue
+    // behind page-outs and pay several times that.
+    double delta_heavy = heavy_on.p50TtftNs - heavy_off.p50TtftNs;
+    double delta_light = light_on.p50TtftNs - light_off.p50TtftNs;
+    EXPECT_GT(delta_light, 0.0);
+    EXPECT_GT(delta_heavy, 2.0 * delta_light);
+    // The tail pays too: p99 dispatch latency rises under offload.
+    EXPECT_GT(heavy_on.p99TtftNs - heavy_off.p99TtftNs, delta_light);
+}
+
+} // namespace
+
+// ---------------------------------------------------------------------
+// Removed execution options fail loudly
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+RunFlags
+parseFlags(std::vector<const char *> argv)
+{
+    argv.insert(argv.begin(), "test");
+    CliArgs args(static_cast<int>(argv.size()), argv.data());
+    return parseRunFlags(args);
+}
+
+/** Expect @p fn to throw a FatalError whose message contains @p name. */
+template <class Fn>
+void
+expectFatalNaming(Fn &&fn, const std::string &name)
+{
+    try {
+        fn();
+        FAIL() << "'" << name << "' was accepted";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find(name), std::string::npos)
+            << err.what();
+    }
+}
+
+/** smallSpec() as a JSON document with @p key set to @p value. */
+json::Value
+specWith(const char *key, double value)
+{
+    json::Object obj = smallSpec().toJson().asObject();
+    obj.set(key, value);
+    return json::Value(std::move(obj));
+}
+
+} // namespace
+
+TEST(RemovedOptions, ShardsFlagIsFatal)
+{
+    expectFatalNaming([] { parseFlags({"--shards", "4"}); }, "--shards");
+    expectFatalNaming([] { parseFlags({"--shards=1"}); }, "--shards");
+}
+
+TEST(RemovedOptions, ShardThreadsFlagIsFatal)
+{
+    expectFatalNaming([] { parseFlags({"--shard-threads", "2"}); },
+                      "--shard-threads");
+}
+
+TEST(RemovedOptions, QueueFlagIsFatal)
+{
+    expectFatalNaming([] { parseFlags({"--queue", "heap"}); }, "--queue");
+    expectFatalNaming([] { parseFlags({"--queue", "calendar"}); },
+                      "--queue");
+    // Flags that remain still parse.
+    EXPECT_EQ(parseFlags({"--jobs", "4"}).jobs, 4);
+}
+
+TEST(RemovedOptions, ShardsSpecKeyIsFatal)
+{
+    expectFatalNaming(
+        [] { cluster::ClusterSpec::fromJson(specWith("shards", 1.0)); },
+        "shards");
+    // The spec echo never carried the key, so a saved spec re-imports.
+    EXPECT_NO_THROW(cluster::ClusterSpec::fromJson(smallSpec().toJson()));
+}
+
+TEST(RemovedOptions, ShardThreadsSpecKeyIsFatal)
+{
+    expectFatalNaming(
+        [] {
+            cluster::ClusterSpec::fromJson(specWith("shard-threads", 2.0));
+        },
+        "shard-threads");
 }

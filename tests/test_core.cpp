@@ -30,8 +30,6 @@
 #include "cluster/cluster.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
-#include "core/any_queue.hh"
-#include "core/calendar_queue.hh"
 #include "core/clock.hh"
 #include "core/engine.hh"
 #include "core/event_queue.hh"
@@ -364,202 +362,69 @@ TEST(CoreEventQueue, EmptyAccessorsPanicInsteadOfUb)
     EXPECT_THROW(queue.pop(), PanicError);
 }
 
-TEST(CoreCalendarQueue, CollidingTimestampsMatchEventQueueOrder)
-{
-    // The adversarial collision scenario from CoreEventQueue above,
-    // replayed on the calendar queue: the pop sequence contract is
-    // shared verbatim.
-    core::CalendarQueue queue;
-    std::vector<int> order;
-    auto record = [&order](int tag) {
-        return [&order, tag](double) { order.push_back(tag); };
-    };
-    queue.schedule(100.0, 2, record(20));
-    queue.schedule(100.0, 1, record(10));
-    queue.schedule(100.0, 0, record(0));
-    queue.schedule(100.0, 2, record(21));
-    queue.schedule(100.0, 1, record(11));
-    queue.schedule(100.0, 0, record(1));
-    queue.schedule(100.5, 0, record(99));
-
-    while (!queue.empty()) {
-        core::Event ev = queue.pop();
-        ev.fn(ev.timeNs);
-    }
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11, 20, 21, 99}));
-}
-
-TEST(CoreCalendarQueue, RandomizedDifferentialOracleMatchesHeap)
-{
-    // Drive the heap and the calendar with an identical randomized
-    // push/pop stream shaped like an engine run — mostly near-future
-    // pushes off the last popped time, colliding quantized offsets,
-    // occasional far-future jumps that lap the calendar ring — and
-    // assert byte-equal pop order under (time, priority, seq). The
-    // population swing forces both grow and shrink rebuilds, which is
-    // where day-width re-estimation could break the order.
-    std::size_t resizes_seen = 0;
-    for (std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
-        core::EventQueue heap;
-        core::CalendarQueue calendar;
-        Rng rng(mixSeed(987, seed));
-        double last_pop = 0.0;
-        auto pop_both = [&]() {
-            core::Event a = heap.pop();
-            core::Event b = calendar.pop();
-            ASSERT_EQ(a.timeNs, b.timeNs) << "seed " << seed;
-            ASSERT_EQ(a.priority, b.priority) << "seed " << seed;
-            ASSERT_EQ(a.seq, b.seq) << "seed " << seed;
-            last_pop = a.timeNs;
-        };
-        for (int step = 0; step < 4000; ++step) {
-            if (calendar.empty() || rng.below(3) != 0) {
-                double t = last_pop;
-                switch (rng.below(4)) {
-                case 0: // collision-prone quantized near future
-                    t += 1.0 + 50.0 * double(rng.below(16));
-                    break;
-                case 1: // exact collisions with in-flight events
-                    t += double(rng.below(4));
-                    break;
-                case 2: // one lookahead ahead
-                    t += 1000.0 + 50.0 * double(rng.below(8));
-                    break;
-                default: // far-future jump: laps the calendar ring
-                    t += 1e5 * double(1 + rng.below(3));
-                    break;
-                }
-                int priority = int(rng.below(3));
-                heap.schedule(t, priority, nullptr);
-                calendar.schedule(t, priority, nullptr);
-            } else {
-                ASSERT_EQ(heap.nextTimeNs(), calendar.nextTimeNs());
-                ASSERT_EQ(heap.nextPriority(),
-                          calendar.nextPriority());
-                pop_both();
-                if (HasFatalFailure())
-                    return;
-            }
-        }
-        while (!calendar.empty()) {
-            pop_both();
-            if (HasFatalFailure())
-                return;
-        }
-        EXPECT_TRUE(heap.empty());
-        resizes_seen += calendar.resizes();
-    }
-    EXPECT_GT(resizes_seen, 0u)
-        << "the oracle never exercised a calendar rebuild";
-}
-
 /**
- * Keys and closures travel separately (EventKey in the heap or
- * calendar, the closure in a slab slot), so a key-only oracle cannot
- * see a slot mix-up. Here every closure records its push index and
- * each pop must run the closure pushed with the popped key, against a
- * sorted (time, priority, seq) oracle. Pops interleave pushes and the
+ * Keys and closures travel separately (EventKey in the heap, the
+ * closure in a slab slot), so a key-only oracle cannot see a slot
+ * mix-up. Here every closure records its push index and each pop must
+ * run the closure pushed with the popped key, against a sorted
+ * (time, priority, seq) oracle. Pops interleave pushes and the
  * population swings, so freed slots are reused constantly; quantized
  * times and two priorities make equal keys up to the serial common;
  * every third closure is too large for std::function's inline
- * buffer; a mid-run clear() empties the slab. Both queue kinds, with
- * queue-stamped serials (schedule) and caller-assigned ones (push).
+ * buffer; a mid-run clear() empties the slab (the push serial keeps
+ * counting across it).
  */
-TEST(CoreAnyQueue, SlabReuseDifferentialOracleRunsPushedClosure)
+TEST(CoreEventQueue, SlabReuseDifferentialOracle)
 {
     using Entry = std::tuple<double, int, std::uint64_t, int>;
-    for (core::QueueKind kind :
-         {core::QueueKind::Heap, core::QueueKind::Calendar}) {
-        for (bool explicit_seq : {false, true}) {
-            core::AnyQueue queue(kind);
-            std::set<Entry> oracle; // (time, priority, seq, push index)
-            Rng rng(mixSeed(4242, explicit_seq ? 1 : 0));
-            std::uint64_t next_seq = explicit_seq ? 1000 : 0;
-            int pushes = 0;
-            int fired = -1;
-            double last_pop = 0.0;
-            std::size_t peak = 0;
-            for (int step = 0; step < 30000; ++step) {
-                if (step == 15000) {
-                    queue.clear();
-                    oracle.clear();
-                }
-                // Grow for 1500 steps, then drain for 1500.
-                const bool growing = (step / 1500) % 2 == 0;
-                const bool push = oracle.empty() ||
-                    rng.below(4) < (growing ? 3u : 1u);
-                if (push) {
-                    const double t =
-                        last_pop + 10.0 * double(rng.below(8));
-                    const int priority = int(rng.below(2));
-                    const int idx = pushes++;
-                    core::EventFn fn;
-                    if (idx % 3 == 0) {
-                        std::array<int, 8> payload{};
-                        payload[5] = idx;
-                        fn = [&fired, payload](double) {
-                            fired = payload[5];
-                        };
-                    } else {
-                        fn = [&fired, idx](double) { fired = idx; };
-                    }
-                    const std::uint64_t seq = next_seq;
-                    next_seq += explicit_seq ? 3 : 1;
-                    if (explicit_seq)
-                        queue.push(core::Event{t, priority, seq,
-                                               std::move(fn)});
-                    else
-                        queue.schedule(t, priority, std::move(fn));
-                    oracle.emplace(t, priority, seq, idx);
-                    peak = std::max(peak, oracle.size());
-                    continue;
-                }
-                const Entry want = *oracle.begin();
-                oracle.erase(oracle.begin());
-                ASSERT_EQ(queue.peek().seq, std::get<2>(want));
-                core::Event ev = queue.pop();
-                ASSERT_EQ(ev.timeNs, std::get<0>(want));
-                ASSERT_EQ(ev.priority, std::get<1>(want));
-                ASSERT_EQ(ev.seq, std::get<2>(want));
-                fired = -1;
-                ev.fn(ev.timeNs);
-                ASSERT_EQ(fired, std::get<3>(want))
-                    << "kind " << int(kind) << " step " << step;
-                ASSERT_EQ(queue.size(), oracle.size());
-                last_pop = ev.timeNs;
-            }
-            EXPECT_GT(peak, 100u) << "the population never swung";
+    core::EventQueue queue;
+    std::set<Entry> oracle; // (time, priority, seq, push index)
+    Rng rng(mixSeed(4242, 0));
+    std::uint64_t next_seq = 0;
+    int pushes = 0;
+    int fired = -1;
+    double last_pop = 0.0;
+    std::size_t peak = 0;
+    for (int step = 0; step < 30000; ++step) {
+        if (step == 15000) {
+            queue.clear();
+            oracle.clear();
         }
+        // Grow for 1500 steps, then drain for 1500.
+        const bool growing = (step / 1500) % 2 == 0;
+        const bool push =
+            oracle.empty() || rng.below(4) < (growing ? 3u : 1u);
+        if (push) {
+            const double t = last_pop + 10.0 * double(rng.below(8));
+            const int priority = int(rng.below(2));
+            const int idx = pushes++;
+            core::EventFn fn;
+            if (idx % 3 == 0) {
+                std::array<int, 8> payload{};
+                payload[5] = idx;
+                fn = [&fired, payload](double) { fired = payload[5]; };
+            } else {
+                fn = [&fired, idx](double) { fired = idx; };
+            }
+            queue.schedule(t, priority, std::move(fn));
+            oracle.emplace(t, priority, next_seq++, idx);
+            peak = std::max(peak, oracle.size());
+            continue;
+        }
+        const Entry want = *oracle.begin();
+        oracle.erase(oracle.begin());
+        ASSERT_EQ(queue.peek().seq, std::get<2>(want));
+        core::Event ev = queue.pop();
+        ASSERT_EQ(ev.timeNs, std::get<0>(want));
+        ASSERT_EQ(ev.priority, std::get<1>(want));
+        ASSERT_EQ(ev.seq, std::get<2>(want));
+        fired = -1;
+        ev.fn(ev.timeNs);
+        ASSERT_EQ(fired, std::get<3>(want)) << "step " << step;
+        ASSERT_EQ(queue.size(), oracle.size());
+        last_pop = ev.timeNs;
     }
-}
-
-TEST(CoreCalendarQueue, EmptyAccessorsPanicInsteadOfUb)
-{
-    core::CalendarQueue queue;
-    EXPECT_THROW(queue.nextTimeNs(), PanicError);
-    EXPECT_THROW(queue.nextPriority(), PanicError);
-    EXPECT_THROW(queue.pop(), PanicError);
-    queue.schedule(1.0, 0, nullptr);
-    queue.pop();
-    EXPECT_THROW(queue.nextTimeNs(), PanicError);
-    EXPECT_THROW(queue.pop(), PanicError);
-}
-
-TEST(CoreAnyQueue, KindSelectionAndProcessDefault)
-{
-    EXPECT_EQ(core::queueKindFromName("heap"), core::QueueKind::Heap);
-    EXPECT_EQ(core::queueKindFromName("calendar"),
-              core::QueueKind::Calendar);
-    EXPECT_THROW(core::queueKindFromName("splay"), FatalError);
-
-    core::QueueKind saved = core::defaultQueueKind();
-    core::setDefaultQueueKind(core::QueueKind::Calendar);
-    EXPECT_EQ(core::defaultQueueKind(), core::QueueKind::Calendar);
-    core::AnyQueue queue; // picks up the process default
-    queue.schedule(1.0, 0, nullptr);
-    EXPECT_EQ(queue.nextTimeNs(), 1.0);
-    core::setDefaultQueueKind(saved);
-    EXPECT_EQ(core::defaultQueueKind(), saved);
+    EXPECT_GT(peak, 100u) << "the population never swung";
 }
 
 TEST(CoreClock, AdvancesMonotonically)

@@ -136,6 +136,38 @@ TEST(ScenarioRegistry, UnknownNameSuggestsNearest)
     }
 }
 
+TEST(ScenarioRegistry, UnknownParamKeySuggestsNearest)
+{
+    json::Object params;
+    params.set("rtae", 5.0);
+    try {
+        scenario::buildScenario("steady-poisson", params);
+        FAIL() << "typo'd key silently ran the defaults";
+    } catch (const FatalError &err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("'rtae'"), std::string::npos) << what;
+        EXPECT_NE(what.find("did you mean 'rate'"), std::string::npos)
+            << what;
+    }
+    // The schema envelope is accepted by every scenario.
+    params = json::Object();
+    params.set("schema_version", 1);
+    EXPECT_NO_THROW(scenario::buildScenario("steady-poisson", params));
+}
+
+TEST(ScenarioRegistry, DatacenterShardsParamIsFatal)
+{
+    json::Object params;
+    params.set("shards", 4);
+    try {
+        scenario::buildScenario("datacenter", params);
+        FAIL() << "removed 'shards' param accepted";
+    } catch (const FatalError &err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("'shards'"), std::string::npos) << what;
+    }
+}
+
 // ------------------------------------------------------ builder behaviour
 
 TEST(ScenarioBuilders, TrafficShapesMatchTheScenario)
